@@ -105,6 +105,14 @@ impl Dram {
         }
     }
 
+    /// The cycle of the earliest pending completion, or `None` when
+    /// nothing will come back (an empty channel, or only dropped
+    /// completions). [`crate::sm::Sm`] fast-forwards idle stretches up to
+    /// this cycle.
+    pub fn next_completion(&self) -> Option<u64> {
+        self.pending.peek().map(|&Reverse((t, _))| t)
+    }
+
     /// Requests in flight.
     pub fn in_flight(&self) -> usize {
         self.pending.len()
@@ -235,6 +243,60 @@ mod tests {
             &FaultSpec::parse("seed=1,throttle=1000:1:0.25").unwrap(),
         ));
         assert_eq!(t.submit(0, 128, 1), 104);
+    }
+
+    #[test]
+    fn next_completion_of_an_empty_channel_is_none() {
+        let mut d = dram(100, 8.0);
+        assert_eq!(d.next_completion(), None);
+        let t = d.submit(0, 128, 1);
+        assert_eq!(d.next_completion(), Some(t));
+        let mut out = Vec::new();
+        d.drain_completions(t, &mut out);
+        assert_eq!(d.next_completion(), None);
+    }
+
+    #[test]
+    fn next_completion_is_the_earliest_pending() {
+        // Bandwidth-serialized: the first submission completes first.
+        let mut d = dram(100, 8.0);
+        let t1 = d.submit(0, 128, 1);
+        let t2 = d.submit(0, 128, 2);
+        assert!(t1 < t2);
+        assert_eq!(d.next_completion(), Some(t1));
+        let mut out = Vec::new();
+        d.drain_completions(t1, &mut out);
+        assert_eq!(d.next_completion(), Some(t2));
+    }
+
+    #[test]
+    fn dropped_completion_never_appears_as_next() {
+        use crate::fault::{FaultInjector, FaultSpec};
+        let mut d = dram(10, 128.0);
+        d.set_faults(FaultInjector::new(
+            &FaultSpec::parse("seed=1,drop=1").unwrap(),
+        ));
+        d.submit(0, 128, 1);
+        assert_eq!(d.next_completion(), None);
+        assert_eq!(d.fault_counters().unwrap().drops, 1);
+    }
+
+    #[test]
+    fn duplicated_completion_appears_twice_one_cycle_apart() {
+        use crate::fault::{FaultInjector, FaultSpec};
+        let mut d = dram(10, 128.0);
+        d.set_faults(FaultInjector::new(
+            &FaultSpec::parse("seed=1,dup=1").unwrap(),
+        ));
+        let t = d.submit(0, 128, 7);
+        assert_eq!(d.next_completion(), Some(t));
+        let mut out = Vec::new();
+        d.drain_completions(t, &mut out);
+        assert_eq!(out, vec![7]);
+        assert_eq!(d.next_completion(), Some(t + 1));
+        d.drain_completions(t + 1, &mut out);
+        assert_eq!(out, vec![7, 7]);
+        assert_eq!(d.next_completion(), None);
     }
 
     #[test]

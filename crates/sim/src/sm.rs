@@ -32,6 +32,10 @@ const RECOVERY_SWEEP: u64 = 256;
 /// Cycle stride between watchdog budget checks in [`Sm::run_watched`].
 const WATCHDOG_STRIDE: u64 = 512;
 
+/// 2^53: every integer below it is exact in an `f64`, so a fast-forward
+/// may add `n·gap` to `sum_k` in one step while the total stays below it.
+const F64_EXACT_INT: f64 = (1u64 << 53) as f64;
+
 /// A DRAM attachment: private channel, or a chip-shared channel the SM
 /// submits to with its id encoded in the tag (completions are routed back
 /// by the chip driver).
@@ -72,11 +76,48 @@ struct Warp {
     rng: SmallRng,
 }
 
+/// Warps per state, kept in step with every state transition so the
+/// per-cycle accounting and the fast-forward test never rescan the warps.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Census {
+    computing: u32,
+    queued: u32,
+    waiting: u32,
+    stalled: u32,
+}
+
+impl Census {
+    /// Count `warps` from scratch.
+    fn of(warps: &[Warp]) -> Self {
+        let mut census = Self::default();
+        for w in warps {
+            *census.slot(w.state) += 1;
+        }
+        census
+    }
+
+    fn slot(&mut self, state: WarpState) -> &mut u32 {
+        match state {
+            WarpState::Computing { .. } => &mut self.computing,
+            WarpState::IssuePending => &mut self.queued,
+            WarpState::Waiting => &mut self.waiting,
+            WarpState::Stalled => &mut self.stalled,
+        }
+    }
+
+    /// Record one warp moving from state `from` to state `to`.
+    fn shift(&mut self, from: WarpState, to: WarpState) {
+        *self.slot(from) -= 1;
+        *self.slot(to) += 1;
+    }
+}
+
 /// One simulated streaming multiprocessor.
 pub struct Sm {
     cfg: SimConfig,
     wl: SimWorkload,
     warps: Vec<Warp>,
+    census: Census,
     l1: Option<L1Cache>,
     l2: Option<(SimpleCache, Dram)>,
     dram: DramPort,
@@ -128,7 +169,7 @@ impl Sm {
         assert!(wl.warps >= 1, "need at least one warp");
         assert!(wl.ilp > 0.0 && wl.ops_per_request > 0.0);
         let in_ms = (ms_fraction * wl.warps as f64).round() as u32;
-        let warps = (0..wl.warps)
+        let warps: Vec<Warp> = (0..wl.warps)
             .map(|w| {
                 let mut rng =
                     SmallRng::seed_from_u64(seed ^ (w as u64).wrapping_mul(0xA24B_AED4_963E_E407));
@@ -150,6 +191,7 @@ impl Sm {
             })
             .collect();
         Self {
+            census: Census::of(&warps),
             warps,
             l1: cfg.l1.map(L1Cache::new),
             l2: cfg.l2.map(|l2| {
@@ -285,12 +327,20 @@ impl Sm {
             return;
         }
         let ops = sample_ops(self.wl.ops_per_request, &mut w.rng);
-        w.state = WarpState::Computing { ops_left: ops };
+        let computing = WarpState::Computing { ops_left: ops };
+        self.census.shift(w.state, computing);
+        w.state = computing;
         w.pending_addr = w.stream.next_addr();
         if self.measuring {
             self.stats.requests_completed += 1;
             self.stats.bytes_delivered += self.cfg.request_bytes.round().max(1.0) as u64;
         }
+    }
+
+    /// Move warp `wi` to state `to`, keeping the census in step.
+    fn set_state(&mut self, wi: usize, to: WarpState) {
+        self.census.shift(self.warps[wi].state, to);
+        self.warps[wi].state = to;
     }
 
     /// Advance one cycle (private-DRAM configuration).
@@ -349,10 +399,16 @@ impl Sm {
         }
 
         // 2. LSU: issue up to lsu_per_cycle pending requests, round-robin.
+        // Every issuable warp visited is issued, so the scan can stop once
+        // the census says none is left.
         let n = self.warps.len();
+        let lsu_budget = self
+            .cfg
+            .lsu_per_cycle
+            .min(self.census.queued + self.census.stalled);
         let mut issued = 0;
         for off in 0..n {
-            if issued >= self.cfg.lsu_per_cycle {
+            if issued >= lsu_budget {
                 break;
             }
             let wi = (self.lsu_rr + off) % n;
@@ -366,7 +422,7 @@ impl Sm {
             let addr = self.warps[wi].pending_addr;
             if self.bypasses(wi as u32) {
                 self.submit_mem(now, addr, TAG_DIRECT | wi as u64);
-                self.warps[wi].state = WarpState::Waiting;
+                self.set_state(wi, WarpState::Waiting);
             } else {
                 // xlint: allow(no-panic-in-lib, state-machine invariant: Cached access is only emitted when an L1 is configured)
                 let l1 = self.l1.as_mut().expect("cached warp without L1");
@@ -374,26 +430,26 @@ impl Sm {
                     Access::Hit => {
                         self.hit_queue
                             .push(Reverse((now + l1_hit_latency(&self.cfg), wi as u32)));
-                        self.warps[wi].state = WarpState::Waiting;
+                        self.set_state(wi, WarpState::Waiting);
                         if self.measuring {
                             self.stats.l1_hits += 1;
                         }
                     }
                     Access::MissAllocated { mshr } => {
                         self.submit_mem(now, addr, mshr as u64);
-                        self.warps[wi].state = WarpState::Waiting;
+                        self.set_state(wi, WarpState::Waiting);
                         if self.measuring {
                             self.stats.l1_misses += 1;
                         }
                     }
                     Access::MissMerged { .. } => {
-                        self.warps[wi].state = WarpState::Waiting;
+                        self.set_state(wi, WarpState::Waiting);
                         if self.measuring {
                             self.stats.l1_merges += 1;
                         }
                     }
                     Access::MshrFull => {
-                        self.warps[wi].state = WarpState::Stalled;
+                        self.set_state(wi, WarpState::Stalled);
                         if self.measuring {
                             self.stats.mshr_stalls += 1;
                         }
@@ -404,12 +460,14 @@ impl Sm {
         self.lsu_rr = (self.lsu_rr + 1) % n;
 
         // 3. CS: spend up to `lanes` warp-ops, round-robin, each selected
-        // warp retiring at most its ILP width.
+        // warp retiring at most its ILP width. Every computing warp visited
+        // is selected, so the scan stops once the census says none is left.
         let mut credit = self.cfg.lanes;
+        let cs_budget = self.cfg.issue_width.min(self.census.computing);
         let mut selected = 0;
         let mut retired = 0.0;
         for off in 0..n {
-            if credit <= 1e-12 || selected >= self.cfg.issue_width {
+            if credit <= 1e-12 || selected >= cs_budget {
                 break;
             }
             let wi = (self.rr + off) % n;
@@ -419,11 +477,11 @@ impl Sm {
                 credit -= take;
                 retired += take;
                 selected += 1;
-                self.warps[wi].state = if left <= 1e-9 {
-                    WarpState::IssuePending
+                if left <= 1e-9 {
+                    self.set_state(wi, WarpState::IssuePending);
                 } else {
-                    WarpState::Computing { ops_left: left }
-                };
+                    self.warps[wi].state = WarpState::Computing { ops_left: left };
+                }
             }
         }
         self.rr = (self.rr + 1) % n;
@@ -432,15 +490,12 @@ impl Sm {
         if self.measuring {
             self.stats.cycles += 1;
             self.stats.ops_retired += retired;
-            let (mut computing, mut queued, mut waiting, mut stalled) = (0u32, 0u32, 0u32, 0u32);
-            for w in &self.warps {
-                match w.state {
-                    WarpState::Computing { .. } => computing += 1,
-                    WarpState::IssuePending => queued += 1,
-                    WarpState::Waiting => waiting += 1,
-                    WarpState::Stalled => stalled += 1,
-                }
-            }
+            let Census {
+                computing,
+                queued,
+                waiting,
+                stalled,
+            } = self.census;
             let k = (queued + waiting + stalled) as usize;
             self.stats.sum_k += k as f64;
             self.stats.sum_x += (n - k) as f64;
@@ -499,7 +554,90 @@ impl Sm {
             }
         }
 
+        debug_assert_eq!(
+            self.census,
+            Census::of(&self.warps),
+            "incremental warp census drifted at cycle {now}"
+        );
         self.cycle += 1;
+    }
+
+    /// Skip, in closed form, the cycles before `limit` in which nothing
+    /// can happen: every warp waits on memory and no completion, sample
+    /// or recovery sweep falls due. Such a cycle completes, issues and
+    /// retires nothing; it only advances the round-robin pointers and,
+    /// while measuring, counts all `n` warps in MS. Stops short of the
+    /// first cycle that might do more, which [`Sm::step`] then runs.
+    /// DESIGN.md §9e gives the exactness argument.
+    fn fast_forward(&mut self, limit: u64) {
+        let n = self.warps.len();
+        if self.census.waiting as usize != n {
+            return;
+        }
+        // Completions on a chip-shared channel arrive from outside.
+        let DramPort::Own(dram) = &self.dram else {
+            return;
+        };
+        let now = self.cycle;
+        let mut until = [
+            dram.next_completion(),
+            self.l2.as_ref().and_then(|(_, ch)| ch.next_completion()),
+            self.hit_queue.peek().map(|&Reverse((t, _))| t),
+        ]
+        .into_iter()
+        .flatten()
+        .fold(limit, u64::min);
+        if self.measuring {
+            let interval = if self.trajectory_interval > 0 {
+                self.trajectory_interval
+            } else if xmodel_obs::enabled() {
+                SNAPSHOT_INTERVAL
+            } else {
+                0
+            };
+            if interval > 0 {
+                until = until.min(now.next_multiple_of(interval));
+            }
+        }
+        if self.fault_active {
+            until = until.min(now.next_multiple_of(RECOVERY_SWEEP));
+        }
+        if until <= now {
+            return;
+        }
+        let gap = until - now;
+        if self.measuring {
+            let sum_k = self.stats.sum_k + (n as u64).saturating_mul(gap) as f64;
+            if sum_k >= F64_EXACT_INT {
+                return;
+            }
+            self.stats.cycles += gap;
+            self.stats.sum_k = sum_k;
+            self.stats.k_histogram[n] += gap;
+        }
+        let skip = (gap % n as u64) as usize;
+        self.rr = (self.rr + skip) % n;
+        self.lsu_rr = (self.lsu_rr + skip) % n;
+        self.cycle = until;
+    }
+
+    /// The advance loop behind every run method: step to cycle `end`,
+    /// fast-forwarding idle stretches, and stop early (returning true) as
+    /// soon as `done` holds before a cycle. `done` may only read state an
+    /// idle cycle leaves alone, such as completion counts.
+    fn advance(&mut self, end: u64, done: impl Fn(&Self) -> bool) -> bool {
+        loop {
+            if done(self) {
+                return true;
+            }
+            if self.cycle >= end {
+                return false;
+            }
+            self.fast_forward(end);
+            if self.cycle < end {
+                self.step();
+            }
+        }
     }
 
     /// Enable or disable measurement (chip driver control).
@@ -511,19 +649,16 @@ impl Sm {
     // xlint: determinism-root
     pub fn run(&mut self, warmup: u64, measure: u64) -> &SimStats {
         let _span = xmodel_obs::span!(xmodel_obs::names::span::SIM_RUN);
+        let start = self.cycle;
         self.measuring = false;
         {
             let _warm = xmodel_obs::span!(xmodel_obs::names::span::SIM_WARMUP);
-            for _ in 0..warmup {
-                self.step();
-            }
+            self.advance(start + warmup, |_| false);
         }
         self.measuring = true;
         {
             let _meas = xmodel_obs::span!(xmodel_obs::names::span::SIM_MEASURE);
-            for _ in 0..measure {
-                self.step();
-            }
+            self.advance(start + warmup + measure, |_| false);
         }
         &self.stats
     }
@@ -546,14 +681,27 @@ impl Sm {
         let total = warmup + measure;
         let mut last_completed = self.stats.requests_completed;
         let mut last_progress = 0u64;
+        let start = self.cycle;
         self.measuring = false;
-        for i in 0..total {
+        // `i` counts cycles run; the budget is checked right after each
+        // cycle `i ≡ 0 (mod WATCHDOG_STRIDE)`, so no jump crosses one.
+        let mut i = 0;
+        while i < total {
             if i == warmup {
                 self.measuring = true;
                 last_progress = i;
             }
-            self.step();
-            if i % WATCHDOG_STRIDE == 0 {
+            let check = i % WATCHDOG_STRIDE == 0;
+            let mut end = if check {
+                i + 1
+            } else {
+                i.next_multiple_of(WATCHDOG_STRIDE).min(total)
+            };
+            if i < warmup {
+                end = end.min(warmup);
+            }
+            self.advance(start + end, |_| false);
+            if check {
                 if self.stats.requests_completed != last_completed {
                     last_completed = self.stats.requests_completed;
                     last_progress = i;
@@ -561,6 +709,7 @@ impl Sm {
                 let stalled = if self.measuring { i - last_progress } else { 0 };
                 watchdog.check(i + 1, self.stats.requests_completed, stalled, started)?;
             }
+            i = end;
         }
         Ok(&self.stats)
     }
@@ -571,13 +720,10 @@ impl Sm {
     pub fn run_until_requests(&mut self, requests: u64, max_cycles: u64) -> Option<u64> {
         self.measuring = true;
         let start = self.cycle;
-        while self.stats.requests_completed < requests {
-            if self.cycle - start >= max_cycles {
-                return None;
-            }
-            self.step();
-        }
-        Some(self.cycle - start)
+        self.advance(start.saturating_add(max_cycles), |sm| {
+            sm.stats.requests_completed >= requests
+        })
+        .then(|| self.cycle - start)
     }
 
     /// Stats collected so far.
@@ -975,6 +1121,61 @@ mod tests {
         let mut b = Sm::new(&cfg, &wl, 7);
         b.run_watched(2_000, 8_000, &Watchdog::default()).unwrap();
         assert_eq!(a.stats(), b.stats());
+
+        // Under drops, spikes and duplicates the recovery sweep and the
+        // watchdog stride both bound fast-forward jumps.
+        let spec = FaultSpec::parse("seed=3,drop=0.05,dup=0.05,spike=0.1x4").unwrap();
+        let mut a = Sm::with_faults(&cfg, &wl, 7, &spec);
+        a.run(2_000, 8_000);
+        let mut b = Sm::with_faults(&cfg, &wl, 7, &spec);
+        b.run_watched(2_000, 8_000, &Watchdog::default()).unwrap();
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.fault_counters(), b.fault_counters());
+        assert_eq!(a.cycle(), b.cycle());
+        assert!(a.stats().lost_recovered > 0, "{:?}", a.stats());
+    }
+
+    #[test]
+    fn fast_forward_stops_at_the_l2_channel_completion() {
+        // One warp re-reading one line: after the first DRAM fill every
+        // request hits L2 and rides the L2 channel.
+        let cfg = SimConfig::builder()
+            .lanes(4.0)
+            .dram(400, 8.0)
+            .l2(64 * 1024, 50, 64.0)
+            .build();
+        let wl = SimWorkload {
+            trace: TraceSpec::PrivateWorkingSet {
+                ws_lines: 1,
+                stream_prob: 0.0,
+                reuse_skew: 0.0,
+            },
+            ops_per_request: 2.0,
+            ilp: 1.0,
+            warps: 1,
+        };
+        let mut sm = Sm::new(&cfg, &wl, 3);
+        let due = loop {
+            sm.step();
+            let l2_next = sm.l2.as_ref().and_then(|(_, ch)| ch.next_completion());
+            let DramPort::Own(dram) = &sm.dram else {
+                unreachable!("a fresh SM owns its DRAM port");
+            };
+            if sm.census.waiting == 1 && dram.next_completion().is_none() {
+                if let Some(t) = l2_next {
+                    break t;
+                }
+            }
+            assert!(sm.cycle() < 10_000, "no L2 hit in 10k cycles");
+        };
+        assert!(due > sm.cycle() + 1, "nothing to skip");
+        sm.fast_forward(u64::MAX);
+        assert_eq!(sm.cycle(), due);
+        // The completion itself is left to a normal step.
+        sm.fast_forward(u64::MAX);
+        assert_eq!(sm.cycle(), due);
+        sm.step();
+        assert_eq!(sm.census.computing, 1);
     }
 
     #[test]

@@ -45,6 +45,11 @@ cargo build --release
 echo "=== cargo test ==="
 cargo test -q
 
+echo "=== simulator fast-forward: wide differential set (release) ==="
+# Thousands of seeded configurations: Sm::run / run_watched /
+# run_until_requests must match a plain loop of Sm::step bit for bit.
+cargo test -q --release -p xmodel-sim --test fast_forward -- --ignored
+
 echo "=== trace smoke test ==="
 trace="$(mktemp -t xmodel-trace.XXXXXX.jsonl)"
 folded="$(mktemp -t xmodel-folded.XXXXXX.txt)"
