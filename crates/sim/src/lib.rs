@@ -52,6 +52,7 @@ pub mod fault;
 pub(crate) mod probe;
 pub mod sm;
 pub mod stats;
+mod warpset;
 
 pub use chip::{simulate_chip, ChipSim};
 pub use config::{CacheConfig, DramConfig, SimConfig, SimConfigBuilder, SimWorkload};

@@ -6,6 +6,7 @@ use crate::dram::Dram;
 use crate::error::{SimError, Watchdog};
 use crate::fault::{FaultCounters, FaultInjector, FaultSpec};
 use crate::stats::SimStats;
+use crate::warpset::{Ring, WarpSet};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use std::cell::RefCell;
@@ -69,6 +70,17 @@ enum WarpState {
     Stalled,
 }
 
+impl WarpState {
+    fn is_computing(self) -> bool {
+        matches!(self, WarpState::Computing { .. })
+    }
+
+    /// Has a request for the LSU: fresh, or retrying after a stall.
+    fn is_issuable(self) -> bool {
+        matches!(self, WarpState::IssuePending | WarpState::Stalled)
+    }
+}
+
 struct Warp {
     state: WarpState,
     pending_addr: u64,
@@ -118,6 +130,10 @@ pub struct Sm {
     wl: SimWorkload,
     warps: Vec<Warp>,
     census: Census,
+    /// Warps in `Computing`, for the CS scan.
+    computing: WarpSet,
+    /// Warps in `IssuePending` or `Stalled`, for the LSU scan.
+    issuable: WarpSet,
     l1: Option<L1Cache>,
     l2: Option<(SimpleCache, Dram)>,
     dram: DramPort,
@@ -190,8 +206,11 @@ impl Sm {
                 }
             })
             .collect();
+        let n = warps.len();
         Self {
             census: Census::of(&warps),
+            computing: WarpSet::from_fn(n, |i| warps[i].state.is_computing()),
+            issuable: WarpSet::from_fn(n, |i| warps[i].state.is_issuable()),
             warps,
             l1: cfg.l1.map(L1Cache::new),
             l2: cfg.l2.map(|l2| {
@@ -319,7 +338,8 @@ impl Sm {
     }
 
     fn wake(&mut self, warp: u32) {
-        let w = &mut self.warps[warp as usize];
+        let wi = warp as usize;
+        let w = &mut self.warps[wi];
         if w.state != WarpState::Waiting {
             // A duplicated or stale completion under fault injection:
             // absorb it rather than corrupting the warp's state machine.
@@ -327,19 +347,20 @@ impl Sm {
             return;
         }
         let ops = sample_ops(self.wl.ops_per_request, &mut w.rng);
-        let computing = WarpState::Computing { ops_left: ops };
-        self.census.shift(w.state, computing);
-        w.state = computing;
         w.pending_addr = w.stream.next_addr();
+        self.set_state(wi, WarpState::Computing { ops_left: ops });
         if self.measuring {
             self.stats.requests_completed += 1;
             self.stats.bytes_delivered += self.cfg.request_bytes.round().max(1.0) as u64;
         }
     }
 
-    /// Move warp `wi` to state `to`, keeping the census in step.
+    /// Move warp `wi` to state `to`, keeping the census and the warp
+    /// sets in step.
     fn set_state(&mut self, wi: usize, to: WarpState) {
         self.census.shift(self.warps[wi].state, to);
+        self.computing.assign(wi, to.is_computing());
+        self.issuable.assign(wi, to.is_issuable());
         self.warps[wi].state = to;
     }
 
@@ -398,26 +419,17 @@ impl Sm {
             self.wake(w);
         }
 
-        // 2. LSU: issue up to lsu_per_cycle pending requests, round-robin.
-        // Every issuable warp visited is issued, so the scan can stop once
-        // the census says none is left.
+        // 2. LSU: issue up to lsu_per_cycle pending requests, round-robin
+        // from `lsu_rr`, visiting only the issuable set's members. A warp
+        // rejected for MSHR exhaustion stays issuable but is behind the
+        // cursor, so it is not retried this cycle.
         let n = self.warps.len();
-        let lsu_budget = self
-            .cfg
-            .lsu_per_cycle
-            .min(self.census.queued + self.census.stalled);
         let mut issued = 0;
-        for off in 0..n {
-            if issued >= lsu_budget {
+        let mut lsu = Ring::new(self.lsu_rr, n);
+        while issued < self.cfg.lsu_per_cycle {
+            let Some(wi) = lsu.next(&self.issuable) else {
                 break;
-            }
-            let wi = (self.lsu_rr + off) % n;
-            if !matches!(
-                self.warps[wi].state,
-                WarpState::IssuePending | WarpState::Stalled
-            ) {
-                continue;
-            }
+            };
             issued += 1;
             let addr = self.warps[wi].pending_addr;
             if self.bypasses(wi as u32) {
@@ -457,20 +469,23 @@ impl Sm {
                 }
             }
         }
-        self.lsu_rr = (self.lsu_rr + 1) % n;
+        self.lsu_rr += 1;
+        if self.lsu_rr == n {
+            self.lsu_rr = 0;
+        }
 
-        // 3. CS: spend up to `lanes` warp-ops, round-robin, each selected
-        // warp retiring at most its ILP width. Every computing warp visited
-        // is selected, so the scan stops once the census says none is left.
+        // 3. CS: spend up to `lanes` warp-ops, round-robin from `rr` over
+        // the computing set, each selected warp retiring at most its ILP
+        // width.
         let mut credit = self.cfg.lanes;
-        let cs_budget = self.cfg.issue_width.min(self.census.computing);
         let mut selected = 0;
         let mut retired = 0.0;
-        for off in 0..n {
-            if credit <= 1e-12 || selected >= cs_budget {
+        let mut cs = Ring::new(self.rr, n);
+        while credit > 1e-12 && selected < self.cfg.issue_width {
+            let Some(wi) = cs.next(&self.computing) else {
                 break;
-            }
-            let wi = (self.rr + off) % n;
+            };
+            // Always true: the set holds only computing warps.
             if let WarpState::Computing { ops_left } = self.warps[wi].state {
                 let take = self.wl.ilp.min(ops_left).min(credit);
                 let left = ops_left - take;
@@ -484,7 +499,10 @@ impl Sm {
                 }
             }
         }
-        self.rr = (self.rr + 1) % n;
+        self.rr += 1;
+        if self.rr == n {
+            self.rr = 0;
+        }
 
         // 4. Accounting.
         if self.measuring {
@@ -558,6 +576,16 @@ impl Sm {
             self.census,
             Census::of(&self.warps),
             "incremental warp census drifted at cycle {now}"
+        );
+        debug_assert_eq!(
+            self.computing,
+            WarpSet::from_fn(n, |i| self.warps[i].state.is_computing()),
+            "computing warp set drifted at cycle {now}"
+        );
+        debug_assert_eq!(
+            self.issuable,
+            WarpSet::from_fn(n, |i| self.warps[i].state.is_issuable()),
+            "issuable warp set drifted at cycle {now}"
         );
         self.cycle += 1;
     }

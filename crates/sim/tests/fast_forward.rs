@@ -10,7 +10,8 @@
 //!
 //! Cases are drawn from a seeded SplitMix64 over the whole configuration
 //! space: L1 on/off with 1–4 MSHRs (so warps stall), L2, bypass, lanes,
-//! LSU and issue width, DRAM latency and bandwidth, 1–64 warps, `z = ∞`,
+//! LSU and issue width, DRAM latency and bandwidth, 1–160 warps (across
+//! the 64-warp word boundary of the scheduler's warp sets), `z = ∞`,
 //! an initial MS fraction, trajectory sampling and fault specs with
 //! drops. The tier-1 set is small; the `#[ignore]`d wide set runs in
 //! release mode from `scripts/ci.sh`.
@@ -121,7 +122,7 @@ fn draw(rng: &mut SplitMix64, scale: u64) -> Case {
         trace,
         ops_per_request: z,
         ilp: rng.range(1, 8) as f64 * 0.5,
-        warps: rng.range(1, 64) as u32,
+        warps: rng.range(1, 160) as u32,
     };
     let faults = rng.chance(0.3).then(|| {
         let mut text = format!("seed={}", rng.range(0, 1 << 20));

@@ -50,6 +50,17 @@ echo "=== simulator fast-forward: wide differential set (release) ==="
 # run_until_requests must match a plain loop of Sm::step bit for bit.
 cargo test -q --release -p xmodel-sim --test fast_forward -- --ignored
 
+echo "=== perfbench: harness tests + validate against the committed reference ==="
+# The validate workload checks every op's simulator output bit for bit
+# against perfbench/reference/validate.json, so a simulator change that
+# moves any §V result by one bit fails here.
+cargo test -q --release --manifest-path perfbench/harness/Cargo.toml
+bench_validate="$(python3 perfbench/run.py --workload validate --seed 1 --seconds 2 | tail -n 1)"
+echo "$bench_validate" | grep -q '"correct": *true' \
+  || { echo "perfbench validate: output differs from the reference: $bench_validate" >&2; exit 1; }
+echo "$bench_validate" | grep -Eq '"failed": *0[,}]' \
+  || { echo "perfbench validate: failed ops: $bench_validate" >&2; exit 1; }
+
 echo "=== trace smoke test ==="
 trace="$(mktemp -t xmodel-trace.XXXXXX.jsonl)"
 folded="$(mktemp -t xmodel-folded.XXXXXX.txt)"

@@ -6,6 +6,7 @@
 //! panic, never a silent NaN.** Runs are deterministic given the fault
 //! seed, so any failure here reproduces exactly.
 
+use std::sync::{Mutex, MutexGuard};
 use xmodel::baselines::Roofline;
 use xmodel::core::degrade::{self, Degradation, DegradeForce, DEGRADE_SCHEMA};
 use xmodel::core::presets::{GpuSpec, Precision};
@@ -15,6 +16,15 @@ use xmodel::obs::{FaultySink, MemSink, Sink};
 use xmodel::profile::arch::sim_config_for;
 use xmodel::sim::{FaultInjector, FaultSpec, SimError, SimStats, SimWorkload, Sm, Watchdog};
 use xmodel::workloads::TraceSpec;
+
+/// The trace sink is process-global. Every test here that can emit
+/// events (simulator runs, the degradation ladder) or installs a sink
+/// takes this lock, so a capturing test records only its own events.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Fault specs swept by the matrix: each single fault class alone, then a
 /// compound spec mixing all of them.
@@ -64,6 +74,7 @@ fn assert_stats_finite(stats: &SimStats, label: &str) {
 /// NaN anywhere fails the test harness directly.)
 #[test]
 fn matrix_faults_recover_or_error_never_panic() {
+    let _serial = serial();
     for gpu in GpuSpec::all() {
         for text in FAULT_SPECS {
             let spec = FaultSpec::parse(text).expect("matrix specs parse");
@@ -104,6 +115,7 @@ fn matrix_faults_recover_or_error_never_panic() {
 /// injected-fault counters.
 #[test]
 fn faulted_runs_are_deterministic_given_seed() {
+    let _serial = serial();
     let gpu = GpuSpec::kepler_k40();
     let spec = FaultSpec::parse("seed=7,spike=0.1x6,drop=0.02,dup=0.05,throttle=800:0.25:0.5")
         .expect("spec parses");
@@ -144,6 +156,7 @@ fn fault_seed_decorrelates_schedules() {
 /// surfaces as the watchdog's typed error, not a hang and not a panic.
 #[test]
 fn watchdog_converts_hang_into_typed_error() {
+    let _serial = serial();
     let gpu = GpuSpec::kepler_k40();
     let spec = FaultSpec::parse("drop=1").expect("spec parses");
     let cfg = sim_config_for(&gpu, Precision::Single);
@@ -171,6 +184,7 @@ fn watchdog_converts_hang_into_typed_error() {
 /// rung yields finite results tagged with the right provenance.
 #[test]
 fn degradation_ladder_provenance_and_finiteness() {
+    let _serial = serial();
     let model = XModel::new(
         xmodel::core::params::MachineParams::new(6.0, 0.107, 520.0),
         xmodel::core::params::WorkloadParams::new(20.0, 1.0, 48.0),
@@ -199,6 +213,7 @@ fn degradation_ladder_provenance_and_finiteness() {
 /// baseline estimate stay within a factor-2 band of the exact point.
 #[test]
 fn degraded_rungs_bracket_the_exact_answer() {
+    let _serial = serial();
     let model = XModel::new(
         xmodel::core::params::MachineParams::new(6.0, 0.107, 520.0),
         xmodel::core::params::WorkloadParams::new(20.0, 1.0, 48.0),
@@ -225,6 +240,7 @@ fn degraded_rungs_bracket_the_exact_answer() {
 /// classical model, not past it.
 #[test]
 fn baseline_rung_respects_the_roofline() {
+    let _serial = serial();
     for gpu in GpuSpec::all() {
         for precision in [Precision::Single, Precision::Double] {
             let machine = gpu.machine_params(precision);
@@ -278,6 +294,7 @@ fn faulty_sink_partitions_and_reader_tolerates() {
 /// `solver.degraded` event tagged with the one schema constant.
 #[test]
 fn degraded_event_carries_schema_tag() {
+    let _serial = serial();
     let mem = MemSink::new();
     xmodel::obs::install(Box::new(mem.clone()));
     let model = XModel::new(
