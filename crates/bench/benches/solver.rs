@@ -29,21 +29,12 @@ fn bench_solve(c: &mut Criterion) {
     c.bench_function("solve/cached_bistable", |b| {
         b.iter(|| black_box(cached.solve()).operating_point())
     });
-    c.bench_function("solve/batch_lanes", |b| {
-        b.iter(|| {
-            black_box(xmodel::core::batch::solve_batch(
-                &cached,
-                xmodel::core::solver::DEFAULT_SAMPLES,
-            ))
-            .operating_point()
-        })
-    });
 }
 
-/// Warm-started n-sweep against the cold per-cell fast path, sharing one
-/// tabulated supply curve (the bench-report `solver/sweep_1k_warm` gate
-/// entry is the continuously-tracked twin of this).
-fn bench_warm_sweep(c: &mut Criterion) {
+/// Cold per-cell fast-path n-sweep sharing one tabulated supply curve
+/// (the bench-report `solver/sweep_1k` gate entry is the
+/// continuously-tracked twin of this).
+fn bench_sweep(c: &mut Criterion) {
     let cached = cached_model();
     let table = xmodel::core::fastpath::CurveTable::build(&cached, 256.0);
     let models: Vec<XModel> = (1..=256)
@@ -60,9 +51,6 @@ fn bench_warm_sweep(c: &mut Criterion) {
                 black_box(xmodel::core::fastpath::solve_fast(m, &table, samples));
             }
         })
-    });
-    c.bench_function("sweep/256_warm", |b| {
-        b.iter(|| black_box(xmodel::core::sweep::solve_warm(1, &models, &table, samples)))
     });
 }
 
@@ -95,7 +83,7 @@ fn bench_derived_analyses(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_solve,
-    bench_warm_sweep,
+    bench_sweep,
     bench_resolution_ablation,
     bench_derived_analyses
 );

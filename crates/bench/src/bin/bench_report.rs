@@ -250,37 +250,6 @@ fn cmd_measure(args: &[String]) -> Result<(), String> {
         }),
     );
 
-    // Lane-batched dense scan: the [f64; 8] kernel evaluation path
-    // (bit-identical to solver/solve, so the delta is pure lane win).
-    run(
-        "solver/solve_batch",
-        time_bench(window, passes, || {
-            xmodel::core::batch::solve_batch(&model, xmodel::core::solver::DEFAULT_SAMPLES)
-        }),
-    );
-
-    // The same 1024-point sweep with warm-started cells: each solve
-    // seeds the next through the chunk-local WarmSeed chain.
-    let warm_models: Vec<XModel> = sweep_ns
-        .iter()
-        .map(|&n| {
-            let mut m = cached;
-            m.workload.n = n;
-            m
-        })
-        .collect();
-    run(
-        "solver/sweep_1k_warm",
-        time_bench(window, passes, || {
-            xmodel::core::sweep::solve_warm(
-                xmodel::core::sweep::default_jobs(),
-                &warm_models,
-                &sweep_table,
-                xmodel::core::solver::DEFAULT_SAMPLES,
-            )
-        }),
-    );
-
     // Eq. (5) cache supply: f(k) sweep over the thread range.
     run(
         "cache/fk_sweep_eq5",

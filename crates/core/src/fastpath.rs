@@ -7,22 +7,13 @@
 //! `n` or `Z`, so one tabulation amortizes across an entire sweep. A
 //! [`CurveTable`] samples `f` once per curve (through the lane-batched
 //! [`crate::batch`] kernels when built from a model) and [`solve_fast`]
-//! answers each solve from the table with a layered engine:
+//! answers each solve from the table with one cold engine of three
+//! stages:
 //!
-//! * **USL screen** — tables whose sampled curve is monotone
-//!   non-decreasing carry a Gunther-style rational-function fit
-//!   (`x/f(x) ≈ σ + κ·x`); such curves cross the non-increasing demand
-//!   `ĝ(n−k)` at most once, so the engine binary-searches the single
-//!   sign transition and proves the flanks uniform instead of scanning;
-//! * **warm start** — inside a sweep, [`solve_fast_seeded`] predicts
-//!   each root's dense-grid cell from the previous cell's roots
-//!   ([`WarmSeed`]), verifies the predicted sign transitions and proves
-//!   the gaps between them uniform, falling back to the full scan the
-//!   moment the intersection classification changes;
-//! * **span descent** — the cold path recursively screens dense-sample
-//!   spans with O(1) min/max/margin range queries over a block-indexed
-//!   sparse table: a span whose bracketed `f(k) − ĝ(n−k)` range excludes
-//!   zero cannot contain a root and is skipped wholesale;
+//! * **span descent** — recursively screen dense-sample spans with O(1)
+//!   min/max/margin range queries over a block-indexed sparse table: a
+//!   span whose bracketed `f(k) − ĝ(n−k)` range excludes zero cannot
+//!   contain a root and is skipped wholesale;
 //! * **refine** — surviving leaf spans evaluate eight dense samples per
 //!   loop body through the batched demand kernel; each sample uses the
 //!   interpolated `f̃(k)` and consults the exact curve only where
@@ -34,14 +25,14 @@
 //!   sign nor hide an exact zero, the midpoint sequence — and therefore
 //!   the root — is bit-identical to [`solver::solve_with`]'s.
 //!
-//! Every layer preserves one invariant: the sign class the engine
-//! assigns to a dense sample (or proves for a whole span) equals the
-//! class the reference computes exactly, so whatever mix of layers runs,
-//! the emitted brackets, bisections and intersection points are the ones
-//! the reference emits — pinned bitwise by the parity suites in
-//! `tests/fastpath.rs`. Non-finite samples mark their intervals
-//! *unsound* (infinite margin): those are never skipped and always
-//! evaluated exactly, preserving the reference's NaN-hole behaviour.
+//! Each stage preserves one invariant: the sign class the engine assigns
+//! to a dense sample (or proves for a whole span) equals the class the
+//! reference computes exactly, so the emitted brackets, bisections and
+//! intersection points are the ones the reference emits — pinned bitwise
+//! by the parity suites in `tests/fastpath.rs`. Non-finite samples mark
+//! their intervals *unsound* (infinite margin): those are never skipped
+//! and always evaluated exactly, preserving the reference's NaN-hole
+//! behaviour.
 //!
 //! [`SolveCache`] wraps a table with staleness tracking for use inside
 //! sweeps, and [`reference_stats`] wraps the exact solver with the same
@@ -69,18 +60,6 @@ const INDEX_BLOCK: usize = 32;
 /// refines sample-by-sample.
 const REFINE_LEAF: usize = 32;
 
-/// Span width at which uniformity proofs fall back to per-sample
-/// classification instead of subdividing further.
-const PROVE_LEAF: usize = 8;
-
-/// Maximum screening queries one warm-start or USL attempt may spend on
-/// uniformity proofs before giving up and falling back to the full scan.
-const PROVE_BUDGET: u32 = 256;
-
-/// How many dense cells a warm-started root prediction may be off by
-/// before the warm path gives up (expanding-ring search radius).
-const WARM_RADIUS: usize = 64;
-
 /// The parameters a [`CurveTable`] is keyed on: everything that shapes
 /// the supply curve `f(k)` — and nothing that does not (`n`, `Z`, `E`
 /// and `M` only move the demand curve).
@@ -103,19 +82,6 @@ impl CurveKey {
             cache: model.cache,
         }
     }
-}
-
-/// A maximal run of table intervals over which the sampled curve is
-/// monotone (non-decreasing or non-increasing). Runs of non-finite
-/// samples form their own (unsound) segments.
-#[derive(Debug, Clone, Copy)]
-pub struct Segment {
-    /// First interval index of the run.
-    pub start: usize,
-    /// One past the last interval index of the run.
-    pub end: usize,
-    /// `true` when the samples are non-decreasing over the run.
-    pub rising: bool,
 }
 
 /// One [`SpanIndex`] summary: sample min/max and worst interval margin.
@@ -197,57 +163,9 @@ impl SpanIndex {
     }
 }
 
-/// The monotone-supply screen metadata: a table whose sampled curve never
-/// decreases crosses any non-increasing demand curve `ĝ(n−k)` at most
-/// once, so the solve can binary-search the single transition instead of
-/// scanning. The sampled all-rising test is the authoritative gate; the
-/// Gunther-USL linearization `y(x) = x/f(x) ≈ σ + κ·x` corroborates it
-/// cheaply — its curvature `κ` is finite exactly when the three probe
-/// samples are finite and positive (a retrograde or degenerate curve
-/// breaks the fit), and is exposed for observability.
-#[derive(Debug, Clone, Copy)]
-struct UslInfo {
-    kappa: Option<f64>,
-    single_crossing: bool,
-}
-
-impl UslInfo {
-    fn compute(values: &[f64], step: f64, segments: &[Segment], unsound_total: u32) -> Self {
-        let none = Self {
-            kappa: None,
-            single_crossing: false,
-        };
-        let res = values.len() - 1;
-        let rising = !segments.is_empty() && segments.iter().all(|s| s.rising);
-        if !rising || unsound_total > 0 || res < 16 {
-            return none;
-        }
-        // Three-point fit of y = x/f(x) at quarter points; the second
-        // divided difference is the curvature coefficient κ.
-        let (i1, i2, i3) = (res / 4, res / 2, 3 * res / 4);
-        let (x1, x2, x3) = (step * i1 as f64, step * i2 as f64, step * i3 as f64);
-        let (v1, v2, v3) = (values[i1], values[i2], values[i3]);
-        if [v1, v2, v3].iter().any(|&vi| !vi.is_finite() || vi <= 0.0) {
-            return none;
-        }
-        let (y1, y2, y3) = (x1 / v1, x2 / v2, x3 / v3);
-        let d1 = (y2 - y1) / (x2 - x1);
-        let d2 = (y3 - y2) / (x3 - x2);
-        let c = (d2 - d1) / (x3 - x1);
-        if !c.is_finite() {
-            return none;
-        }
-        Self {
-            kappa: Some(c),
-            single_crossing: true,
-        }
-    }
-}
-
 /// Piecewise-linear tabulation of one supply curve over `[0, k_max]`,
-/// with monotone-segment metadata, sound interpolation-error margins, a
-/// block-indexed sparse table for O(1) span queries, and the USL
-/// single-crossing screen.
+/// with sound interpolation-error margins and a block-indexed sparse
+/// table for O(1) span queries.
 #[derive(Debug, Clone)]
 pub struct CurveTable {
     /// `None` for tables built from raw closures via
@@ -261,9 +179,7 @@ pub struct CurveTable {
     /// Unsound intervals need no separate index: any [`SpanIndex`] block
     /// touching one reports an infinite margin.
     margins: Vec<f64>,
-    segments: Vec<Segment>,
     span_index: SpanIndex,
-    usl: UslInfo,
     build_evals: u64,
 }
 
@@ -363,7 +279,7 @@ impl CurveTable {
     }
 
     /// Shared tail of both builders: margins from the probe points, then
-    /// the unsound prefix, segments, span index and USL screen.
+    /// the span index.
     fn finish_build(
         key: Option<CurveKey>,
         k_max: f64,
@@ -389,10 +305,7 @@ impl CurveTable {
                 f64::INFINITY
             });
         }
-        let unsound_total = margins.iter().filter(|m| !m.is_finite()).count() as u32;
-        let segments = build_segments(&values);
         let span_index = SpanIndex::build(&values, &margins);
-        let usl = UslInfo::compute(&values, step, &segments, unsound_total);
         if xmodel_obs::enabled() {
             use xmodel_obs::metrics::counter_add;
             use xmodel_obs::names::metric;
@@ -406,9 +319,7 @@ impl CurveTable {
             step,
             values,
             margins,
-            segments,
             span_index,
-            usl,
             build_evals,
         }
     }
@@ -429,30 +340,9 @@ impl CurveTable {
         self.margins.len()
     }
 
-    /// The monotone segments of the sampled curve, in `k` order.
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
-    }
-
     /// Exact curve evaluations spent building this table.
     pub fn build_evals(&self) -> u64 {
         self.build_evals
-    }
-
-    /// `true` when the sampled curve is monotone non-decreasing with no
-    /// unsound intervals, so `f` crosses any non-increasing `ĝ(n−k)` at
-    /// most once and [`solve_fast`] may take the USL-screened path.
-    pub fn usl_single_crossing(&self) -> bool {
-        self.usl.single_crossing
-    }
-
-    /// Curvature coefficient `κ` of the USL linearization
-    /// `x/f(x) ≈ σ + κ·x` fitted over the tabulated samples, when the
-    /// fit exists (finite, positive quarter-point samples). Near-zero on
-    /// linear-then-plateau rooflines; meaningless (and `None`) for
-    /// retrograde Eq. (5) curves.
-    pub fn usl_kappa(&self) -> Option<f64> {
-        self.usl.kappa
     }
 
     /// Interpolated `f̃(k)` with the containing interval's margin
@@ -489,75 +379,6 @@ impl CurveTable {
     }
 }
 
-/// Split the sampled curve into maximal monotone runs. Flat pairs extend
-/// either direction; non-finite pairs form their own runs.
-fn build_segments(values: &[f64]) -> Vec<Segment> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Dir {
-        Up,
-        Down,
-        Flat,
-        Broken,
-    }
-    let intervals = values.len() - 1;
-    let dirs: Vec<Dir> = (0..intervals)
-        .map(|i| {
-            let (a, b) = (values[i], values[i + 1]);
-            if !a.is_finite() || !b.is_finite() {
-                Dir::Broken
-            } else if b > a {
-                Dir::Up
-            } else if b < a {
-                Dir::Down
-            } else {
-                Dir::Flat
-            }
-        })
-        .collect();
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    while start < intervals {
-        let broken = dirs[start] == Dir::Broken;
-        let mut rising = match dirs[start] {
-            Dir::Up => Some(true),
-            Dir::Down => Some(false),
-            _ => None,
-        };
-        let mut end = start + 1;
-        while end < intervals {
-            let d = dirs[end];
-            let compatible = if broken {
-                d == Dir::Broken
-            } else {
-                match d {
-                    Dir::Broken => false,
-                    Dir::Flat => true,
-                    Dir::Up => rising != Some(false),
-                    Dir::Down => rising != Some(true),
-                }
-            };
-            if !compatible {
-                break;
-            }
-            if !broken {
-                match d {
-                    Dir::Up => rising = Some(true),
-                    Dir::Down => rising = Some(false),
-                    _ => {}
-                }
-            }
-            end += 1;
-        }
-        out.push(Segment {
-            start,
-            end,
-            rising: rising.unwrap_or(true),
-        });
-        start = end;
-    }
-    out
-}
-
 /// Evaluation counts of one solve. The fast path's purpose is to drive
 /// `f_evals` (the `powf`-bearing curve) toward zero away from roots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -578,11 +399,6 @@ pub struct SolveStats {
     pub unsound_disables: u64,
     /// Eight-lane demand-kernel loop bodies executed during refinement.
     pub batch_evals: u64,
-    /// `true` when a [`WarmSeed`] prediction verified and the full scan
-    /// was skipped.
-    pub warm_hit: bool,
-    /// `true` when the USL single-crossing screen answered the solve.
-    pub usl_screened: bool,
 }
 
 impl SolveStats {
@@ -590,75 +406,6 @@ impl SolveStats {
     /// on the `solver.curve_evals` counter.
     pub fn total(&self) -> u64 {
         self.f_evals + self.g_evals
-    }
-}
-
-/// Root positions carried from one sweep cell to the next: the warm-start
-/// seed for [`solve_fast_seeded`]. Holds the previous solve's roots (up
-/// to four — one more than the Eq. (5) maximum of three) and, when
-/// available, the solve before that for linear extrapolation of each
-/// root's trajectory in `n`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WarmSeed {
-    n: f64,
-    len: u8,
-    roots: [f64; 4],
-    has_prev: bool,
-    prev_n: f64,
-    prev_len: u8,
-    prev_roots: [f64; 4],
-    usable: bool,
-}
-
-impl WarmSeed {
-    /// Fold a finished solve into the seed chain: `prev` is the seed that
-    /// produced (or preceded) `eq`, `None` at the start of a sweep.
-    pub fn advance(prev: Option<&WarmSeed>, eq: &Equilibria) -> WarmSeed {
-        let pts = eq.points();
-        let mut roots = [0.0f64; 4];
-        let len = pts.len().min(4);
-        for (slot, p) in roots.iter_mut().zip(pts) {
-            *slot = p.k;
-        }
-        let mut seed = WarmSeed {
-            n: eq.n(),
-            len: len as u8,
-            roots,
-            usable: pts.len() <= 4,
-            ..WarmSeed::default()
-        };
-        if let Some(p) = prev {
-            if p.usable {
-                seed.has_prev = true;
-                seed.prev_n = p.n;
-                seed.prev_len = p.len;
-                seed.prev_roots = p.roots;
-            }
-        }
-        seed
-    }
-
-    /// Number of roots the seed predicts.
-    pub fn root_count(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Predicted position of root `j` at the new thread count: linear
-    /// extrapolation along `n` when two matching-count solves are
-    /// available, the previous position otherwise.
-    fn predict(&self, j: usize, n_new: f64) -> f64 {
-        let r = self.roots[j];
-        let predicted = if self.has_prev && self.prev_len == self.len && self.n != self.prev_n {
-            let slope = (r - self.prev_roots[j]) / (self.n - self.prev_n);
-            r + slope * (n_new - self.n)
-        } else {
-            r
-        };
-        if predicted.is_finite() {
-            predicted.clamp(0.0, n_new)
-        } else {
-            r.clamp(0.0, n_new)
-        }
     }
 }
 
@@ -732,25 +479,22 @@ impl CurvePair for DynCurves<'_> {
     }
 }
 
-/// The layered solve engine over one `(curves, table, n)` instance.
+/// The solve engine over one `(curves, table, n)` instance.
 ///
-/// Soundness invariant shared by every layer: the class assigned to a
-/// dense sample — via the interpolation-margin route, the exact route,
+/// Soundness invariant shared by all three stages: the class assigned to
+/// a dense sample — via the interpolation-margin route, the exact route,
 /// or a whole-span screen — always equals `classify` of the exact
-/// residual at that sample, so the set of emitted brackets (and the
-/// bisection midpoint sequence inside each) is independent of which
-/// layer ran.
+/// residual at that sample, so the emitted brackets (and the bisection
+/// midpoint sequence inside each) are the reference's.
 struct Engine<'a, C: CurvePair> {
     curves: &'a C,
     table: &'a CurveTable,
     n: f64,
     z: f64,
     step: f64,
-    samples: usize,
     points: Vec<Intersection>,
     prev_k: f64,
     prev_class: Class,
-    class0: Class,
     f_evals: Cell<u64>,
     g_evals: Cell<u64>,
     interp_evals: Cell<u64>,
@@ -823,21 +567,6 @@ impl<C: CurvePair> Engine<'_, C> {
             }
         }
         0.5 * (lo + hi)
-    }
-
-    /// Class of dense sample `i`, by interpolation when the margin
-    /// allows and exactly otherwise.
-    fn sample_class(&self, i: usize) -> Class {
-        let k = self.step * i as f64;
-        let gk = self.g_exact(self.n - k);
-        let (ft, margin) = self.table.interp(k);
-        let vt = ft - gk;
-        if vt.abs() > margin {
-            self.interp_evals.set(self.interp_evals.get() + 1);
-            classify(vt)
-        } else {
-            classify(self.f_exact(k) - gk)
-        }
     }
 
     /// Screen dense samples `i..=j`: `Some(class)` when the residual
@@ -952,219 +681,24 @@ impl<C: CurvePair> Engine<'_, C> {
         self.descend(i, mid);
         self.descend(mid + 1, j);
     }
-
-    /// Prove every dense sample in `i..=j` has class `expected`, by
-    /// screening, subdivision, and per-sample classification at the
-    /// leaves. `false` means "could not prove cheaply", never "false".
-    fn prove_span(&self, i: usize, j: usize, expected: Class, budget: &mut u32) -> bool {
-        if i > j {
-            return true;
-        }
-        if *budget == 0 {
-            return false;
-        }
-        *budget -= 1;
-        if let Some(c) = self.screen_span(i, j) {
-            return c == expected;
-        }
-        if j - i < PROVE_LEAF {
-            return (i..=j).all(|t| self.sample_class(t) == expected);
-        }
-        let mid = i + (j - i) / 2;
-        self.prove_span(i, mid, expected, budget) && self.prove_span(mid + 1, j, expected, budget)
-    }
-
-    /// Locate the sign transition nearest dense sample `t`: expanding
-    /// rings of doubling radius, then binary search down to the adjacent
-    /// pair `(p, p+1)` whose classes differ. `None` when no transition
-    /// lies within [`WARM_RADIUS`] cells or an exact zero turns up.
-    fn find_transition_near(&self, t: usize) -> Option<(usize, Class, Class)> {
-        let c_t = self.sample_class(t);
-        if c_t == Class::Zero {
-            return None;
-        }
-        let class_at = |u: usize| -> Class {
-            if u == 0 {
-                self.class0
-            } else {
-                self.sample_class(u)
-            }
-        };
-        let mut d = 1usize;
-        while d <= WARM_RADIUS {
-            let right = t + d;
-            if right <= self.samples {
-                let cu = class_at(right);
-                if cu == Class::Zero {
-                    return None;
-                }
-                if cu != c_t {
-                    return self.bisect_transition(t, c_t, right, cu);
-                }
-            }
-            if let Some(left) = t.checked_sub(d) {
-                let cu = class_at(left);
-                if cu == Class::Zero {
-                    return None;
-                }
-                if cu != c_t {
-                    return self.bisect_transition(left, cu, t, c_t);
-                }
-            }
-            d *= 2;
-        }
-        None
-    }
-
-    /// Binary-search `lo < hi` with differing known classes down to an
-    /// adjacent pair. Midpoint classes are Neg or NonNeg (two-valued),
-    /// so each probe extends one side; a Zero aborts.
-    fn bisect_transition(
-        &self,
-        mut lo: usize,
-        c_lo: Class,
-        mut hi: usize,
-        c_hi: Class,
-    ) -> Option<(usize, Class, Class)> {
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            let cm = self.sample_class(mid);
-            if cm == Class::Zero {
-                return None;
-            }
-            if cm == c_lo {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Some((lo, c_lo, c_hi))
-    }
-
-    /// The USL-screened solve: for a single-crossing table, binary-search
-    /// the lone transition (or prove there is none), prove the flanks
-    /// uniform, and emit the one bracket the reference would.
-    fn try_usl(&mut self) -> bool {
-        let class0 = self.class0;
-        if class0 == Class::Zero {
-            return false;
-        }
-        let c_end = self.sample_class(self.samples);
-        if c_end == Class::Zero {
-            return false;
-        }
-        let mut budget = PROVE_BUDGET;
-        if c_end == class0 {
-            if !self.prove_span(1, self.samples, class0, &mut budget) {
-                return false;
-            }
-            self.blocks_skipped += 1;
-            self.prev_k = self.step * self.samples as f64;
-            self.prev_class = c_end;
-            return true;
-        }
-        let Some((lo, c_lo, _)) = self.bisect_transition(0, class0, self.samples, c_end) else {
-            return false;
-        };
-        if !self.prove_span(1, lo, class0, &mut budget)
-            || !self.prove_span(lo + 1, self.samples, c_end, &mut budget)
-        {
-            return false;
-        }
-        let k_lo = self.step * lo as f64;
-        let k_hi = self.step * (lo + 1) as f64;
-        let root = self.bisect(k_lo, k_hi, c_lo == Class::Neg);
-        xmodel_obs::event!("solver.bracket", lo = k_lo, hi = k_hi, root = root);
-        self.emit_point(root);
-        self.prev_k = self.step * self.samples as f64;
-        self.prev_class = c_end;
-        true
-    }
-
-    /// The warm-started solve: predict each seeded root's dense cell,
-    /// locate the actual transitions nearby, verify the class chain and
-    /// prove the gaps uniform. Any mismatch — root count change, an
-    /// exact zero, a transition that moved too far — returns `false`
-    /// without emitting anything, and the caller falls back cold.
-    fn try_warm(&mut self, seed: &WarmSeed) -> bool {
-        if !seed.usable || self.class0 == Class::Zero {
-            return false;
-        }
-        let mut budget = PROVE_BUDGET;
-        if seed.len == 0 {
-            if !self.prove_span(1, self.samples, self.class0, &mut budget) {
-                return false;
-            }
-            self.blocks_skipped += 1;
-            self.prev_k = self.step * self.samples as f64;
-            return true;
-        }
-        let mut transitions: Vec<(usize, Class, Class)> = Vec::with_capacity(4);
-        for j in 0..seed.root_count() {
-            let predicted = seed.predict(j, self.n);
-            let t = ((predicted / self.step).ceil() as usize).clamp(1, self.samples);
-            let Some(tr) = self.find_transition_near(t) else {
-                return false;
-            };
-            transitions.push(tr);
-        }
-        transitions.sort_by_key(|t| t.0);
-        transitions.dedup_by_key(|t| t.0);
-        if transitions.len() != seed.root_count() {
-            return false;
-        }
-        // Verify the class chain and prove the gaps between consecutive
-        // transitions uniform; together with the transition pairs this
-        // pins the class of every dense sample.
-        let mut expected = self.class0;
-        let mut start = 1usize;
-        for &(p, c_left, c_right) in &transitions {
-            if c_left != expected || c_left == c_right {
-                return false;
-            }
-            if !self.prove_span(start, p, c_left, &mut budget) {
-                return false;
-            }
-            expected = c_right;
-            start = p + 1;
-        }
-        if !self.prove_span(start, self.samples, expected, &mut budget) {
-            return false;
-        }
-        for &(p, c_left, _) in &transitions {
-            let k_lo = self.step * p as f64;
-            let k_hi = self.step * (p + 1) as f64;
-            let root = self.bisect(k_lo, k_hi, c_left == Class::Neg);
-            xmodel_obs::event!("solver.bracket", lo = k_lo, hi = k_hi, root = root);
-            self.emit_point(root);
-        }
-        self.prev_k = self.step * self.samples as f64;
-        self.prev_class = expected;
-        true
-    }
-
-    /// Roll back a failed warm/USL attempt to the post-`v0` state.
-    fn reset(&mut self, mark: (usize, f64, Class)) {
-        self.points.truncate(mark.0);
-        self.prev_k = mark.1;
-        self.prev_class = mark.2;
-    }
 }
 
-/// The shared solve core behind every fast-path entry point.
+/// The solve core behind every fast-path entry point: the exact
+/// sample 0, then span descent over samples `1..=samples`.
 fn solve_core<C: CurvePair>(
     curves: &C,
     table: &CurveTable,
     n: f64,
     z: f64,
     samples: usize,
-    seed: Option<&WarmSeed>,
 ) -> (Equilibria, SolveStats) {
     assert!(samples >= 2, "need at least two scan samples");
     let _span = xmodel_obs::span!(xmodel_obs::names::span::SOLVER_SOLVE_FAST);
-    let mut stats = SolveStats::default();
     if n <= 0.0 {
-        return (Equilibria::from_points(Vec::new(), n), stats);
+        return (
+            Equilibria::from_points(Vec::new(), n),
+            SolveStats::default(),
+        );
     }
     assert!(
         n <= table.k_max * (1.0 + 1e-9),
@@ -1179,11 +713,9 @@ fn solve_core<C: CurvePair>(
         n,
         z,
         step,
-        samples,
         points: Vec::new(),
         prev_k: 0.0,
         prev_class: Class::NonNeg,
-        class0: Class::NonNeg,
         f_evals: Cell::new(0),
         g_evals: Cell::new(0),
         interp_evals: Cell::new(0),
@@ -1198,37 +730,17 @@ fn solve_core<C: CurvePair>(
         engine.emit_point(0.0);
     }
     engine.prev_class = classify(v0);
-    engine.class0 = engine.prev_class;
-    let mark = (engine.points.len(), engine.prev_k, engine.prev_class);
+    engine.descend(1, samples);
 
-    let mut done = false;
-    if let Some(s) = seed {
-        if engine.try_warm(s) {
-            done = true;
-            stats.warm_hit = true;
-        } else {
-            engine.reset(mark);
-        }
-    }
-    if !done && table.usl.single_crossing {
-        if engine.try_usl() {
-            done = true;
-            stats.usl_screened = true;
-        } else {
-            engine.reset(mark);
-        }
-    }
-    if !done {
-        engine.descend(1, samples);
-    }
-
-    stats.f_evals = engine.f_evals.get();
-    stats.g_evals = engine.g_evals.get();
-    stats.interp_evals = engine.interp_evals.get();
-    stats.unsound_disables = engine.unsound.get();
-    stats.blocks_skipped = engine.blocks_skipped;
-    stats.blocks_refined = engine.blocks_refined;
-    stats.batch_evals = engine.batch_evals;
+    let stats = SolveStats {
+        f_evals: engine.f_evals.get(),
+        g_evals: engine.g_evals.get(),
+        interp_evals: engine.interp_evals.get(),
+        blocks_skipped: engine.blocks_skipped,
+        blocks_refined: engine.blocks_refined,
+        unsound_disables: engine.unsound.get(),
+        batch_evals: engine.batch_evals,
+    };
     let eq = solver::finish(engine.points, n, step);
     if xmodel_obs::enabled() {
         use xmodel_obs::metrics::counter_add;
@@ -1271,50 +783,7 @@ pub fn solve_fast_stats(
         supply: SupplyKernel::of(model),
         demand: DemandKernel::of(model),
     };
-    solve_core(
-        &curves,
-        table,
-        model.workload.n,
-        model.workload.z,
-        samples,
-        None,
-    )
-}
-
-/// Warm-started [`solve_fast`]: seed the engine with the previous sweep
-/// cell's roots and return the seed for the next cell. The result is
-/// bit-identical to the unseeded solve — a seed can only change *how*
-/// the answer is found, never the answer (pinned by the warm-sweep
-/// parity suite).
-///
-/// # Panics
-///
-/// As [`solve_fast`].
-// xlint: determinism-root
-pub fn solve_fast_seeded(
-    model: &XModel,
-    table: &CurveTable,
-    samples: usize,
-    seed: Option<&WarmSeed>,
-) -> (Equilibria, SolveStats, WarmSeed) {
-    assert!(
-        table.key == Some(CurveKey::of(model)),
-        "CurveTable was built for a different supply curve"
-    );
-    let curves = KernelCurves {
-        supply: SupplyKernel::of(model),
-        demand: DemandKernel::of(model),
-    };
-    let (eq, stats) = solve_core(
-        &curves,
-        table,
-        model.workload.n,
-        model.workload.z,
-        samples,
-        seed,
-    );
-    let next = WarmSeed::advance(seed, &eq);
-    (eq, stats, next)
+    solve_core(&curves, table, model.workload.n, model.workload.z, samples)
 }
 
 /// [`solve_fast`] over raw curve closures paired with a
@@ -1335,28 +804,7 @@ pub fn solve_fast_curves(
         f: curve_f,
         g: curve_g_hat,
     };
-    solve_core(&curves, table, n, z, samples, None)
-}
-
-/// Warm-started [`solve_fast_curves`], returning the next cell's seed.
-/// Same bit-identity contract as [`solve_fast_seeded`].
-// xlint: determinism-root
-pub fn solve_fast_curves_seeded(
-    curve_f: &dyn Fn(f64) -> f64,
-    curve_g_hat: &dyn Fn(f64) -> f64,
-    table: &CurveTable,
-    n: f64,
-    z: f64,
-    samples: usize,
-    seed: Option<&WarmSeed>,
-) -> (Equilibria, SolveStats, WarmSeed) {
-    let curves = DynCurves {
-        f: curve_f,
-        g: curve_g_hat,
-    };
-    let (eq, stats) = solve_core(&curves, table, n, z, samples, seed);
-    let next = WarmSeed::advance(seed, &eq);
-    (eq, stats, next)
+    solve_core(&curves, table, n, z, samples)
 }
 
 /// Run the exact reference [`XModel::solve_with`] while counting curve
@@ -1573,33 +1021,6 @@ mod tests {
     }
 
     #[test]
-    fn segments_cover_domain_and_follow_shape() {
-        let m = cached_model();
-        let t = CurveTable::build(&m, 64.0);
-        let segs = t.segments();
-        assert!(!segs.is_empty());
-        assert_eq!(segs[0].start, 0);
-        assert_eq!(segs[segs.len() - 1].end, t.resolution());
-        for pair in segs.windows(2) {
-            assert_eq!(pair[0].end, pair[1].start, "segments must tile");
-        }
-        // Eq. (5) with a pronounced peak: first rising, then a falling run.
-        assert!(segs[0].rising);
-        assert!(segs.iter().any(|s| !s.rising), "cache valley missing");
-    }
-
-    #[test]
-    fn usl_screen_gates_on_monotonicity() {
-        // The roofline is monotone: single-crossing, finite κ.
-        let t = CurveTable::build(&basic_model(), 64.0);
-        assert!(t.usl_single_crossing());
-        assert!(t.usl_kappa().is_some());
-        // The Eq. (5) peak/valley curve is retrograde: screen off.
-        let t = CurveTable::build(&cached_model(), 64.0);
-        assert!(!t.usl_single_crossing());
-    }
-
-    #[test]
     fn fast_matches_reference_bitwise_on_fixtures() {
         for m in [basic_model(), cached_model()] {
             let t = CurveTable::build(&m, 64.0);
@@ -1607,15 +1028,6 @@ mod tests {
             let fast = solve_fast(&m, &t, solver::DEFAULT_SAMPLES);
             assert_eq!(exact, fast, "fast path must reproduce the reference");
         }
-    }
-
-    #[test]
-    fn usl_path_actually_engages_on_roofline() {
-        let m = basic_model();
-        let t = CurveTable::build(&m, 64.0);
-        let (eq, stats) = solve_fast_stats(&m, &t, solver::DEFAULT_SAMPLES);
-        assert!(stats.usl_screened, "monotone curve must take the USL path");
-        assert_eq!(eq, m.solve());
     }
 
     #[test]
@@ -1631,63 +1043,6 @@ mod tests {
             reference.total()
         );
         assert!(fast.blocks_skipped > 0, "screening never engaged");
-    }
-
-    #[test]
-    fn seeded_solve_is_bit_identical_and_hits_warm() {
-        let m = cached_model();
-        let t = CurveTable::build(&m, 64.0);
-        let samples = solver::DEFAULT_SAMPLES;
-        // Simulate two adjacent sweep cells in n.
-        let mut m1 = m;
-        m1.workload.n = 40.0;
-        let mut m2 = m;
-        m2.workload.n = 40.5;
-        let (eq1, _, seed) = solve_fast_seeded(&m1, &t, samples, None);
-        assert_eq!(eq1, solve_fast(&m1, &t, samples));
-        let (eq2, stats, _) = solve_fast_seeded(&m2, &t, samples, Some(&seed));
-        assert!(stats.warm_hit, "adjacent cell must verify warm");
-        assert_eq!(eq2, solve_fast(&m2, &t, samples), "warm changed the answer");
-    }
-
-    #[test]
-    fn warm_seed_chain_survives_root_count_change() {
-        // Sweep a synthetic Fig. 9-B-ish landscape across the n range
-        // where the intersection count changes; every seeded solve must
-        // equal its cold counterpart bitwise.
-        let f = |k: f64| {
-            let k = k.max(0.0);
-            if k <= 8.0 {
-                0.3 * k / 8.0
-            } else if k <= 24.0 {
-                0.3 - 0.25 * (k - 8.0) / 16.0
-            } else if k <= 60.0 {
-                0.05 + 0.05 * (k - 24.0) / 36.0
-            } else {
-                0.1
-            }
-        };
-        let g = |x: f64| x.clamp(0.0, 10.0) / 50.0;
-        let table = CurveTable::tabulate(&f, 96.0, 4096);
-        let mut seed: Option<WarmSeed> = None;
-        let mut warm_hits = 0u32;
-        for i in 0..=60 {
-            let n = 34.0 + i as f64;
-            let (cold, _) = solve_fast_curves(&f, &g, &table, n, 50.0, 512);
-            let (warm, stats, next) =
-                solve_fast_curves_seeded(&f, &g, &table, n, 50.0, 512, seed.as_ref());
-            assert_eq!(
-                warm.points().len(),
-                cold.points().len(),
-                "root count diverged at n = {n}"
-            );
-            for (a, b) in warm.points().iter().zip(cold.points()) {
-                assert_eq!(a.k.to_bits(), b.k.to_bits(), "k diverged at n = {n}");
-            }
-            warm_hits += u32::from(stats.warm_hit);
-            seed = Some(next);
-        }
-        assert!(warm_hits > 30, "warm path mostly idle: {warm_hits} hits");
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! precisions, with and without a cache), on property-sampled workloads,
 //! on the three-intersection Fig. 9-B shape at a coarse `samples = 256`,
 //! and on fault-injected NaN-hole curves where the table's unsound
-//! intervals must disable screening rather than skip the hole.
+//! intervals must disable screening rather than skip the hole. The same
+//! fixtures are also walked as `n`-sweeps over one shared table — the way
+//! `xmodel sweep` uses it — including across the Fig. 9-B 1 ↔ 3
+//! root-count boundary, with every cell compared to the reference.
 
 use proptest::prelude::*;
 use xmodel_core::cache::CacheParams;
@@ -17,7 +20,7 @@ use xmodel_core::presets::{self, GpuSpec, Precision};
 use xmodel_core::solver;
 use xmodel_core::stability::Stability;
 use xmodel_core::units::{OpsPerRequest, ReqPerCycle, Threads};
-use xmodel_core::{Degradation, DegradeForce, XModel};
+use xmodel_core::{sweep, Degradation, DegradeForce, XModel};
 
 /// The preset models the parity sweep runs over: every Table II GPU at
 /// both precisions, a saturating and a sloped workload, cache-less and
@@ -250,5 +253,101 @@ fn degrade_ladder_reaches_grid_scan_under_fault() {
             .unwrap();
         assert_eq!(r.degradation, Degradation::GridScan, "{}", spec.name);
         assert!(r.point.k.is_finite());
+    }
+}
+
+/// Bit-exact equality, NaN-tolerant: `Equilibria: PartialEq` would
+/// reject matching points whose throughputs are NaN (the NaN-hole
+/// fixture), so compare every field's bit pattern instead.
+fn assert_bits_eq(a: &solver::Equilibria, b: &solver::Equilibria, tag: &str) {
+    assert_eq!(a.n().to_bits(), b.n().to_bits(), "{tag}: n diverged");
+    assert_eq!(
+        a.dedup_tolerance().to_bits(),
+        b.dedup_tolerance().to_bits(),
+        "{tag}: dedup tolerance diverged"
+    );
+    assert_eq!(
+        a.points().len(),
+        b.points().len(),
+        "{tag}: root count diverged"
+    );
+    for (pa, pb) in a.points().iter().zip(b.points()) {
+        assert_eq!(pa.k.to_bits(), pb.k.to_bits(), "{tag}: k diverged");
+        assert_eq!(pa.x.to_bits(), pb.x.to_bits(), "{tag}: x diverged");
+        assert_eq!(
+            pa.ms_throughput.to_bits(),
+            pb.ms_throughput.to_bits(),
+            "{tag}: ms throughput diverged"
+        );
+        assert_eq!(
+            pa.cs_throughput.to_bits(),
+            pb.cs_throughput.to_bits(),
+            "{tag}: cs throughput diverged"
+        );
+        assert_eq!(pa.stability, pb.stability, "{tag}: stability diverged");
+    }
+}
+
+#[test]
+fn n_sweeps_match_reference_on_table2_presets() {
+    // One shared table per curve, cells fanned out through `sweep::run`
+    // — the way `xmodel sweep` solves — and each compared to the dense
+    // reference.
+    for spec in presets::table2() {
+        let mp = spec.machine_params(Precision::Single);
+        let wl = WorkloadParams::new(24.0, 1.2, 40.0);
+        let cache = CacheParams::try_new(spec.default_l1_bytes(), 30.0, 5.0, 2048.0).unwrap();
+        for m in [XModel::new(mp, wl), XModel::with_cache(mp, wl, cache)] {
+            let table = CurveTable::build(&m, 64.0);
+            let cells: Vec<XModel> = (4..64)
+                .map(|n| XModel {
+                    workload: m.workload.with_n(f64::from(n)),
+                    ..m
+                })
+                .collect();
+            let fast = sweep::run(3, &cells, |_, c| fastpath::solve_fast(c, &table, 512));
+            for (cell, eq) in cells.iter().zip(&fast) {
+                let tag = format!("{} n = {}", spec.name, cell.workload.n);
+                assert_bits_eq(eq, &cell.solve_with(512), &tag);
+            }
+        }
+    }
+}
+
+#[test]
+fn fig9b_n_sweep_across_root_count_change_matches_reference() {
+    // Sweeping `n` over the peak/valley/plateau shape crosses the 1 ↔ 3
+    // root-count boundary, where a classification change must not move
+    // a single bit.
+    let z = 50.0;
+    let typed_f = |k: Threads| ReqPerCycle(fig9b_f(k.get()));
+    let typed_g = |x: Threads| ReqPerCycle(fig9b_g(x.get()));
+    let table = CurveTable::tabulate(&fig9b_f, 96.0, 4096);
+    let mut counts = std::collections::BTreeSet::new();
+    for step in 0..120 {
+        let n = 14.0 + 0.5 * step as f64;
+        let (fast, _) = fastpath::solve_fast_curves(&fig9b_f, &fig9b_g, &table, n, z, 512);
+        let exact = solver::solve_with(&typed_f, &typed_g, Threads(n), OpsPerRequest(z), 512);
+        assert_bits_eq(&fast, &exact, &format!("fig9b n = {n}"));
+        counts.insert(exact.points().len());
+    }
+    assert!(
+        counts.contains(&1) && counts.contains(&3),
+        "sweep never crossed the 1 <-> 3 boundary: {counts:?}"
+    );
+}
+
+#[test]
+fn nan_hole_n_sweep_matches_reference() {
+    let z = 40.0;
+    let typed_f = |k: Threads| ReqPerCycle(holed_f(k.get()));
+    let typed_g = |x: Threads| ReqPerCycle(holed_g(x.get()));
+    let table = CurveTable::tabulate(&holed_f, 64.0, 1024);
+    assert!(table.interp(15.0).1.is_infinite(), "hole must be unsound");
+    for step in 0..40 {
+        let n = 24.0 + step as f64;
+        let (fast, _) = fastpath::solve_fast_curves(&holed_f, &holed_g, &table, n, z, 256);
+        let exact = solver::solve_with(&typed_f, &typed_g, Threads(n), OpsPerRequest(z), 256);
+        assert_bits_eq(&fast, &exact, &format!("holed n = {n}"));
     }
 }
