@@ -41,6 +41,9 @@ use xmodel_obs::manifest::RunManifest;
 ///   (`trace-diff`: significant differences — mirroring `bench-report
 ///   --compare`'s regression exit).
 /// * `2` — usage error: unknown command/flag/value (usage text follows).
+///
+/// Writing stdout can fail too: a full device is exit 1, a reader that
+/// closed the pipe early ends the run quietly with exit 0.
 #[derive(Debug)]
 enum CliError {
     /// Bad invocation; exits 2 and prints usage.
@@ -50,6 +53,8 @@ enum CliError {
     /// An analysis found reportable differences; exits 1 with the
     /// message on stderr but no `error:` prefix and no usage text.
     Findings(String),
+    /// Stdout's reader went away (`| head`); exits 0 without a message.
+    ClosedPipe,
 }
 
 impl From<String> for CliError {
@@ -61,6 +66,30 @@ impl From<String> for CliError {
 impl CliError {
     fn model(err: impl std::fmt::Display) -> Self {
         CliError::Model(err.to_string())
+    }
+}
+
+/// `writeln!` into a command's `String` output buffer (infallible).
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => {{
+        use std::fmt::Write as _;
+        let _ = writeln!($out, $($arg)*);
+    }};
+}
+
+/// Write a command's document output to stdout in one `write_all`. A
+/// closed pipe (`xmodel ... | head`) ends the run quietly; any other
+/// write error (`> /dev/full`) is a typed error, exit 1.
+fn emit(text: &str) -> Result<(), CliError> {
+    use std::io::Write as _;
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Err(CliError::ClosedPipe),
+        Err(e) => Err(CliError::Model(format!("writing stdout: {e}"))),
     }
 }
 
@@ -134,7 +163,7 @@ fn main() -> ExitCode {
         xmodel_obs::finish(Some(&manifest));
     }
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(()) | Err(CliError::ClosedPipe) => ExitCode::SUCCESS,
         Err(CliError::Model(e)) => {
             eprintln!("error: {e}");
             ExitCode::from(1)
@@ -301,24 +330,24 @@ fn cmd_trace_report(args: &[String]) -> Result<(), CliError> {
     let path = std::path::Path::new(file);
     let report =
         xmodel_obs::report::TraceReport::from_path(path).map_err(|e| format!("{file}: {e}"))?;
-    print!("{}", report.render());
+    let mut out = report.render();
     if flags.contains_key("timeline") || flags.contains_key("svg") {
         let tl = xmodel::viz::Timeline::from_path(path).map_err(|e| format!("{file}: {e}"))?;
-        println!("\n{}", tl.render_ascii(72, 16));
+        outln!(out, "\n{}", tl.render_ascii(72, 16));
         if let Some(svg) = flags.get("svg") {
             if !tl.is_empty() {
                 std::fs::write(svg, tl.to_chart().to_svg(640.0, 400.0))
                     .map_err(|e| e.to_string())?;
-                println!("wrote {svg}");
+                outln!(out, "wrote {svg}");
             }
         }
     }
     if flags.contains_key("profile") {
         let profile = xmodel_obs::profile::SpanProfile::from_path(path)
             .map_err(|e| format!("{file}: {e}"))?;
-        println!("\n{}", profile.render().trim_end());
+        outln!(out, "\n{}", profile.render().trim_end());
     }
-    Ok(())
+    emit(&out)
 }
 
 /// `xmodel sim-report TRACE` — occupancy/stall/DRAM digest of a
@@ -338,20 +367,22 @@ fn cmd_sim_report(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| CliError::Model(format!("{file}: {e}")))?;
     let summary = trace.summary();
     let occ = xmodel::viz::OccupancyTimeline::from_trace(&trace);
+    let mut out = String::new();
     if flags.contains_key("json") {
-        println!("{}", summary.to_json());
+        outln!(out, "{}", summary.to_json());
     } else {
-        print!("{}", summary.render());
+        out.push_str(&summary.render());
         if !occ.is_empty() {
-            println!("\n{}", occ.render_ascii(72, 16));
+            outln!(out, "\n{}", occ.render_ascii(72, 16));
         }
     }
     // Keep stdout machine-parseable under --json: notices go to stderr.
-    let notice = |msg: String| {
-        if flags.contains_key("json") {
+    let json = flags.contains_key("json");
+    let mut notice = |msg: String| {
+        if json {
             eprintln!("{msg}");
         } else {
-            println!("{msg}");
+            outln!(out, "{msg}");
         }
     };
     if let Some(svg) = flags.get("svg") {
@@ -373,7 +404,7 @@ fn cmd_sim_report(args: &[String]) -> Result<(), CliError> {
             None => notice(format!("skipping {hm_path}: no probe frames to chart")),
         }
     }
-    Ok(())
+    emit(&out)
 }
 
 /// `xmodel residuals TRACE` — align a recorded simtrace against the
@@ -460,15 +491,22 @@ fn cmd_residuals(args: &[String]) -> Result<(), CliError> {
         xmodel_obs::names::metric::RESIDUAL_EXCEEDANCES,
         exceeded as u64,
     );
+    let mut out = String::new();
     if flags.contains_key("json") {
-        println!("{}", report.to_json());
+        outln!(out, "{}", report.to_json());
     } else {
-        println!(
+        outln!(
+            out,
             "{} on {} (L1 {} KiB, n = {:.0}, {} frame(s))",
-            w.name, gpu.name, l1, model.workload.n, report.frames
+            w.name,
+            gpu.name,
+            l1,
+            model.workload.n,
+            report.frames
         );
-        print!("{}", report.render(rel));
+        out.push_str(&report.render(rel));
     }
+    emit(&out)?;
     if exceeded > 0 {
         return Err(CliError::Findings(format!(
             "residuals: {exceeded} gated observable(s) exceed rel {:.0}% \
@@ -489,23 +527,24 @@ fn cmd_profile(args: &[String]) -> Result<(), CliError> {
     let path = std::path::Path::new(file);
     let profile =
         xmodel_obs::profile::SpanProfile::from_path(path).map_err(|e| format!("{file}: {e}"))?;
-    print!("{}", profile.render());
+    let mut out = profile.render();
     if !profile.is_empty() {
         let top = match flags.get("top") {
             Some(v) => v.parse::<usize>().map_err(|e| format!("--top: {e}"))?,
             None => 10,
         };
-        println!("\nhot spans (self time):");
-        print!(
-            "{}",
-            xmodel::viz::flame::self_time_bars(&profile.hotspots(), 40, top)
-        );
+        outln!(out, "\nhot spans (self time):");
+        out.push_str(&xmodel::viz::flame::self_time_bars(
+            &profile.hotspots(),
+            40,
+            top,
+        ));
     }
     if let Some(folded) = flags.get("folded") {
         std::fs::write(folded, profile.to_folded()).map_err(|e| format!("{folded}: {e}"))?;
-        println!("wrote {folded}");
+        outln!(out, "wrote {folded}");
     }
-    Ok(())
+    emit(&out)
 }
 
 /// `xmodel trace-diff BASE NEW` — regression attribution between two
@@ -541,18 +580,19 @@ fn cmd_trace_diff(args: &[String]) -> Result<(), CliError> {
     };
     let diff = xmodel_obs::diff::TraceDiff::between(&read(base_file)?, &read(new_file)?);
 
+    let mut out = String::new();
     if flags.contains_key("json") {
-        println!("{}", diff.to_json());
+        outln!(out, "{}", diff.to_json());
     } else {
-        print!("{}", diff.render(top, min_us, rel));
+        out.push_str(&diff.render(top, min_us, rel));
         let bars: Vec<(String, f64)> = diff
             .deltas
             .iter()
             .map(|d| (d.name.clone(), d.self_delta_us))
             .collect();
         if bars.iter().any(|(_, v)| *v != 0.0) {
-            println!("\nself-time deltas (− faster | slower +):");
-            print!("{}", xmodel::viz::flame::delta_bars(&bars, 24, top));
+            outln!(out, "\nself-time deltas (− faster | slower +):");
+            out.push_str(&xmodel::viz::flame::delta_bars(&bars, 24, top));
         }
     }
     if let Some(folded) = flags.get("folded") {
@@ -562,9 +602,10 @@ fn cmd_trace_diff(args: &[String]) -> Result<(), CliError> {
         if flags.contains_key("json") {
             eprintln!("wrote {folded}");
         } else {
-            println!("wrote {folded}");
+            outln!(out, "wrote {folded}");
         }
     }
+    emit(&out)?;
 
     let significant = diff.significant(min_us, rel).len();
     if significant > 0 {
@@ -616,29 +657,42 @@ fn workload_by_name(name: &str) -> Result<Workload, String> {
 }
 
 fn cmd_list() -> Result<(), CliError> {
-    println!("GPUs (Table II):");
+    let mut out = String::new();
+    outln!(out, "GPUs (Table II):");
     for g in GpuSpec::all() {
-        println!(
+        outln!(
+            out,
             "  {:<10} {:?}, {} SMs x {} SPs, {} GB/s, {} warps/SM",
-            g.name, g.generation, g.sm_count, g.sp_per_sm, g.mem_bw_gbs, g.max_warps
+            g.name,
+            g.generation,
+            g.sm_count,
+            g.sp_per_sm,
+            g.mem_bw_gbs,
+            g.max_warps
         );
     }
-    println!("\nworkloads (the 12-app validation suite):");
+    outln!(out, "\nworkloads (the 12-app validation suite):");
     for w in Workload::suite() {
         let a = w.kernel.analyze();
-        println!(
+        outln!(
+            out,
             "  {:<10} [{}] E={:.2} Z={:.1}  {}",
-            w.name, w.origin, a.ilp, a.intensity, w.description
+            w.name,
+            w.origin,
+            a.ilp,
+            a.intensity,
+            w.description
         );
     }
-    Ok(())
+    emit(&out)
 }
 
 fn cmd_glossary() -> Result<(), CliError> {
+    let mut out = String::new();
     for e in xmodel::core::params::TABLE_I {
-        println!("  {:<6} {}", e.symbol, e.description);
+        outln!(out, "  {:<6} {}", e.symbol, e.description);
     }
-    Ok(())
+    emit(&out)
 }
 
 fn build_model(flags: &HashMap<String, String>) -> Result<(XModel, Option<UnitContext>), CliError> {
@@ -680,7 +734,9 @@ fn build_model(flags: &HashMap<String, String>) -> Result<(XModel, Option<UnitCo
     Ok((model, units))
 }
 
+/// The draw/workload report card, appended to `out`.
 fn report(
+    out: &mut String,
     model: &XModel,
     units: Option<&UnitContext>,
     svg: Option<&String>,
@@ -699,7 +755,8 @@ fn report(
             resolved.residual,
             xmodel::core::degrade::DEGRADE_SCHEMA
         );
-        println!(
+        outln!(
+            out,
             "operating point ({}): k = {:.2}, x = {:.2}, MS {:.4} req/cyc, CS {:.4} ops/cyc",
             resolved.degradation,
             resolved.point.k,
@@ -709,20 +766,22 @@ fn report(
         );
     }
     // The shared report card from xmodel-core, then the terminal X-graph.
-    print!("{}", xmodel::core::report::render(model, units));
+    out.push_str(&xmodel::core::report::render(model, units));
     let graph = XGraph::build(model, 384);
-    println!("\n{}", render::xgraph_ascii(&graph, 72, 16));
+    outln!(out, "\n{}", render::xgraph_ascii(&graph, 72, 16));
     if let Some(path) = svg {
         let svg_text = render::xgraph_chart(&graph, units).to_svg(640.0, 400.0);
         std::fs::write(path, svg_text).map_err(|e| e.to_string())?;
-        println!("wrote {path}");
+        outln!(out, "wrote {path}");
     }
     Ok(())
 }
 
 fn cmd_draw(flags: HashMap<String, String>) -> Result<(), CliError> {
     let (model, units) = build_model(&flags)?;
-    report(&model, units.as_ref(), flags.get("svg"))
+    let mut out = String::new();
+    report(&mut out, &model, units.as_ref(), flags.get("svg"))?;
+    emit(&out)
 }
 
 fn cmd_workload(args: &[String]) -> Result<(), CliError> {
@@ -735,23 +794,36 @@ fn cmd_workload(args: &[String]) -> Result<(), CliError> {
     let l1 = get_f64(&flags, "l1")?.unwrap_or(0.0) as u64;
     let model = xmodel::profile::fitting::assemble_model(&gpu, &w, l1 * 1024);
     let a = w.kernel.analyze();
-    println!("{} on {} (L1 {} KiB)", w.name, gpu.name, l1);
-    println!("  {}", w.description);
-    println!(
+    let mut out = String::new();
+    outln!(out, "{} on {} (L1 {} KiB)", w.name, gpu.name, l1);
+    outln!(out, "  {}", w.description);
+    outln!(
+        out,
         "  extracted: E={:.2} Z={:.2} n={} coalesce={}",
-        a.ilp, a.intensity, model.workload.n, w.coalesce
+        a.ilp,
+        a.intensity,
+        model.workload.n,
+        w.coalesce
     );
     let precision = xmodel::profile::fitting::workload_precision(&w);
-    report(&model, Some(&gpu.units(precision)), flags.get("svg"))
+    report(
+        &mut out,
+        &model,
+        Some(&gpu.units(precision)),
+        flags.get("svg"),
+    )?;
+    emit(&out)
 }
 
 fn cmd_validate(flags: HashMap<String, String>) -> Result<(), CliError> {
     let gpu = gpu_by_name(flags.get("gpu").map(String::as_str).unwrap_or("kepler"))?;
-    println!("validating on {} ...", gpu.name);
+    let mut out = String::new();
+    outln!(out, "validating on {} ...", gpu.name);
     let rep = validate_suite(&gpu).map_err(CliError::model)?;
-    println!("{:<11} {:>8} {:>8} {:>7}", "app", "PCT", "RCT", "acc");
+    outln!(out, "{:<11} {:>8} {:>8} {:>7}", "app", "PCT", "RCT", "acc");
     for a in &rep.apps {
-        println!(
+        outln!(
+            out,
             "{:<11} {:>8.3} {:>8.3} {:>6.1}%",
             a.name,
             a.predicted_cs,
@@ -759,8 +831,8 @@ fn cmd_validate(flags: HashMap<String, String>) -> Result<(), CliError> {
             a.accuracy() * 100.0
         );
     }
-    println!("mean accuracy: {:.1}%", rep.mean_accuracy() * 100.0);
-    Ok(())
+    outln!(out, "mean accuracy: {:.1}%", rep.mean_accuracy() * 100.0);
+    emit(&out)
 }
 
 fn cmd_sim(flags: HashMap<String, String>) -> Result<(), CliError> {
@@ -838,7 +910,9 @@ fn cmd_sim(flags: HashMap<String, String>) -> Result<(), CliError> {
         );
     }
     let units = gpu.units(precision);
-    println!(
+    let mut out = String::new();
+    outln!(
+        out,
         "{} on {} ({} warps, {} mode{})",
         w.name,
         gpu.name,
@@ -846,21 +920,24 @@ fn cmd_sim(flags: HashMap<String, String>) -> Result<(), CliError> {
         if ir_mode { "IR" } else { "parametric" },
         if cfg.l1.is_some() { ", L1 on" } else { "" }
     );
-    println!(
+    outln!(
+        out,
         "  MS {:.4} req/cyc ({:.2} GB/s per SM)   CS {:.4} ops/cyc ({:.2} GF/s per SM)",
         stats.ms_throughput(),
         units.ms_to_gbs(stats.ms_throughput()),
         stats.cs_throughput(),
         units.cs_to_gflops(stats.cs_throughput())
     );
-    println!(
+    outln!(
+        out,
         "  spatial state: avg k = {:.1}, avg x = {:.1}, mode k = {}",
         stats.avg_k(),
         stats.avg_x(),
         stats.mode_k()
     );
     if cfg.l1.is_some() {
-        println!(
+        outln!(
+            out,
             "  L1: hit rate {:.2} ({} hits / {} misses / {} merges, {} MSHR stalls)",
             stats.hit_rate(),
             stats.l1_hits,
@@ -869,7 +946,7 @@ fn cmd_sim(flags: HashMap<String, String>) -> Result<(), CliError> {
             stats.mshr_stalls
         );
     }
-    Ok(())
+    emit(&out)
 }
 
 /// Render a finite f64 as a JSON number, a non-finite one as `null`.
@@ -987,11 +1064,10 @@ fn cmd_sweep(flags: HashMap<String, String>) -> Result<(), CliError> {
     match flags.get("out") {
         Some(path) => {
             std::fs::write(path, out).map_err(|e| format!("--out {path}: {e}"))?;
-            println!("wrote {path} ({points} points, {jobs} jobs)");
+            emit(&format!("wrote {path} ({points} points, {jobs} jobs)\n"))
         }
-        None => print!("{out}"),
+        None => emit(&out),
     }
-    Ok(())
 }
 
 fn cmd_whatif(flags: HashMap<String, String>) -> Result<(), CliError> {
@@ -1005,7 +1081,9 @@ fn cmd_whatif(flags: HashMap<String, String>) -> Result<(), CliError> {
     let l1 = get_f64(&flags, "l1")?.unwrap_or(16.0) as u64;
     let model = xmodel::profile::fitting::assemble_model(&gpu, &w, l1 * 1024);
     let what_if = WhatIf::new(model);
-    println!(
+    let mut out = String::new();
+    outln!(
+        out,
         "{} on {} with {} KiB L1: thrashing = {}",
         w.name,
         gpu.name,
@@ -1050,16 +1128,17 @@ fn cmd_whatif(flags: HashMap<String, String>) -> Result<(), CliError> {
     }
     for (name, opt) in candidates {
         match what_if.evaluate(opt) {
-            Some(eff) => println!(
+            Some(eff) => outln!(
+                out,
                 "  {:<20} MS {:>5.2}x  CS {:>5.2}x",
                 name,
                 eff.ms_speedup(),
                 eff.cs_speedup()
             ),
-            None => println!("  {name:<20} (no equilibrium)"),
+            None => outln!(out, "  {name:<20} (no equilibrium)"),
         }
     }
-    Ok(())
+    emit(&out)
 }
 
 /// Parse an optional unsigned-integer flag.
@@ -1109,18 +1188,22 @@ fn cmd_serve(flags: HashMap<String, String>) -> Result<(), CliError> {
         xmodel_obs::install(Box::new(xmodel_obs::NullSink));
     }
     let server = Server::start(cfg).map_err(|e| CliError::Model(format!("serve: {e}")))?;
-    println!("serve: listening on http://{}", server.addr());
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    // Flushed before blocking, so scripts can read the bound port. A
+    // failed write still drains the daemon rather than orphaning it.
+    let listening = emit(&format!("serve: listening on http://{}\n", server.addr()));
+    if listening.is_err() {
+        server.drain();
+    }
     let report = server.wait();
-    println!(
-        "serve: drained — served {} shed {} deadline-exceeded {} malformed {} forced-degrade {}",
+    listening?;
+    emit(&format!(
+        "serve: drained — served {} shed {} deadline-exceeded {} malformed {} forced-degrade {}\n",
         report.served,
         report.shed,
         report.deadline_exceeded,
         report.malformed,
         report.forced_degrade
-    );
+    ))?;
     if !report.clean_drain {
         return Err(CliError::Model(
             "serve: drain deadline exceeded; in-flight work abandoned".to_string(),

@@ -377,6 +377,115 @@ fn sweep_output_is_byte_identical_for_any_jobs() {
     assert_eq!(one, out, "XMODEL_JOBS must not change the bytes");
 }
 
+/// A bistable Eq. (5) model whose σ′ cache peak (k ≈ 2.3 at
+/// n = 2213.78) is far narrower than one interval of the table a
+/// 1024-point sweep to n = 2266910.72 builds.
+const NARROW_PEAK: [&str; 19] = [
+    "sweep",
+    "--m",
+    "0.69323",
+    "--r",
+    "0.0021897",
+    "--l",
+    "115.106",
+    "--z",
+    "1.19860",
+    "--e",
+    "3.31964",
+    "--l1",
+    "1372.2890625",
+    "--l1-latency",
+    "3.92558",
+    "--alpha",
+    "6.09530",
+    "--beta",
+    "99625.7",
+];
+
+/// The JSON row objects of a sweep document, trailing commas dropped.
+fn sweep_rows(doc: &str) -> Vec<&str> {
+    doc.lines()
+        .filter(|l| l.trim_start().starts_with("{\"n\": "))
+        .map(|l| l.trim().trim_end_matches(','))
+        .collect()
+}
+
+#[test]
+fn wide_sweep_first_row_keeps_the_narrow_cache_peak() {
+    let wide = [
+        &NARROW_PEAK[..],
+        &[
+            "--samples",
+            "1024",
+            "--n-max",
+            "2266910.72",
+            "--points",
+            "1024",
+        ],
+    ]
+    .concat();
+    let (ok, out, err) = run(&wide);
+    assert!(ok, "{err}");
+    let rows = sweep_rows(&out);
+    assert_eq!(rows.len(), 1024);
+    assert!(
+        rows[0].contains("\"n\": 2213.78, \"roots\": 3,"),
+        "{}",
+        rows[0]
+    );
+    // The same cell swept alone: its table is 1024× narrower.
+    let single = [
+        &NARROW_PEAK[..],
+        &["--samples", "1024", "--n-max", "2213.78", "--points", "1"],
+    ]
+    .concat();
+    let (ok, alone, err) = run(&single);
+    assert!(ok, "{err}");
+    assert_eq!(
+        rows[0],
+        sweep_rows(&alone)[0],
+        "row 1 must not depend on n_max"
+    );
+}
+
+#[test]
+fn stdout_write_errors_exit_one_without_a_panic() {
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+        eprintln!("skipping: /dev/full is absent");
+        return;
+    };
+    let out = Command::new(env!("CARGO_BIN_EXE_xmodel"))
+        .args([
+            "sweep", "--gpu", "kepler", "--z", "16", "--n-max", "48", "--points", "400",
+        ])
+        .stdout(full)
+        .output()
+        .expect("spawn xmodel");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("error: writing stdout"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn closed_stdout_pipe_is_a_quiet_exit() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_xmodel"))
+        .args([
+            "sweep", "--gpu", "kepler", "--z", "16", "--n-max", "48", "--points", "2000",
+        ])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn xmodel");
+    // Close the read end unread: the ~300 KB document cannot fit in a
+    // pipe buffer, so the write hits EPIPE.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for xmodel");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {err}", out.status);
+    assert!(err.is_empty(), "{err}");
+}
+
 #[test]
 fn sweep_writes_out_file() {
     let path = temp_path("sweep.json");

@@ -3,20 +3,26 @@
 //! [`SupplyKernel`] and [`DemandKernel`] are flattened, precomputed forms
 //! of the MS supply curve `f(k)` ([`crate::ms`]/[`crate::cache`]) and the
 //! CS demand curve `ĝ(x)` ([`crate::cs`]): plain-`f64` structs whose
-//! scalar [`SupplyKernel::eval`] reproduces the dimensionally-typed
-//! facade **bit for bit** (the `quantity` types delegate `min`/`max`/
-//! arithmetic straight to `f64`, so unwrapping them once up front cannot
-//! change a single ULP — pinned by the parity tests below), and whose
-//! [`SupplyKernel::eval8`] evaluates eight grid points per loop body over
-//! `[f64; 8]` lanes. The roofline arms are branch-free `max`/`min`/
-//! division chains that LLVM auto-vectorizes; the Eq. (5) arm keeps a
-//! `powf` per lane (not vectorizable without `unsafe` intrinsics — the
-//! crate stays `#![forbid(unsafe_code)]`) but still gains from unrolled
-//! instruction-level parallelism and hoisted parameter loads.
+//! scalar `eval` reproduces the dimensionally-typed facade **bit for
+//! bit** (the `quantity` types delegate `min`/`max`/arithmetic straight
+//! to `f64`, so unwrapping them once up front cannot change a single ULP
+//! — pinned by the parity tests below).
+//!
+//! The supply kernel also exposes Eq. (5)'s two monotone factors — the
+//! hit rate `h(k)` (Eq. 3, non-increasing) and the memory latency
+//! `L_m(k) = max{L, k/R}` (Eq. 4, non-decreasing) — through
+//! `SupplyKernel::factors` and its eight-lane form
+//! `SupplyKernel::factors8`. `eval` composes exactly these values as
+//! `k / (h·L$ + (1−h)·L_m)`, so the grid the fast path tabulates from
+//! them is the grid `eval` would produce. The cache-less roofline is the
+//! `h = 0` case. The Eq. (5) factor keeps a `powf` per lane (not
+//! vectorizable without `unsafe` intrinsics — the crate stays
+//! `#![forbid(unsafe_code)]`) but gains from unrolled instruction-level
+//! parallelism and hoisted parameter loads.
 //!
 //! The kernels feed the fast path: [`crate::fastpath::CurveTable`]
-//! tabulates `f` through `eval8`, and the engine's refine stage evaluates
-//! the demand curve eight dense samples at a time.
+//! tabulates the factors through `factors8`, and the engine's refine
+//! stage evaluates the demand curve eight dense samples at a time.
 
 use crate::model::XModel;
 
@@ -67,43 +73,61 @@ impl SupplyKernel {
         match self.cache {
             // Eq. (2): f(k) = min(k/L, R), negative k clamped to zero.
             None => (k.max(0.0) / self.l).min(self.r),
-            Some(c) => {
-                // Eq. (5) in the exact operation order of
-                // `CachedMsCurve::f` / `CacheParams::hit_rate`.
-                if k <= 0.0 {
-                    return 0.0;
-                }
-                let h = if c.s_cache <= 0.0 {
-                    0.0
-                } else {
-                    let share = c.s_cache / (c.beta * k);
-                    1.0 - (share + 1.0).powf(c.neg_am1)
-                };
-                let lm = self.l.max(k.max(0.0) / self.r);
-                let loaded = h * c.l_cache + (1.0 - h) * lm;
-                k / loaded
+            // Eq. (5) in the exact operation order of
+            // `CachedMsCurve::f` / `CacheParams::hit_rate`.
+            Some(_) if k <= 0.0 => 0.0,
+            Some(_) => {
+                let (h, lm) = self.factors(k);
+                k / self.loaded_latency(h, lm)
             }
         }
     }
 
-    /// Eight `f(k)` evaluations in one loop body. Each lane computes the
-    /// exact scalar expression, so lane `i` equals `eval(ks[i])` bitwise.
+    /// Eq. (5)'s factors at `k`: the hit rate `h` (`0` without a cache,
+    /// `1` at `k = 0` with one) and `L_m = max{L, k/R}`.
     #[inline]
-    pub fn eval8(&self, ks: &[f64; LANES]) -> [f64; LANES] {
-        let mut out = [0.0; LANES];
-        match self.cache {
-            None => {
-                for lane in 0..LANES {
-                    out[lane] = (ks[lane].max(0.0) / self.l).min(self.r);
-                }
+    pub(crate) fn factors(&self, k: f64) -> (f64, f64) {
+        let lm = self.l.max(k.max(0.0) / self.r);
+        let h = match self.cache {
+            Some(c) if c.s_cache > 0.0 => {
+                let share = c.s_cache / (c.beta * k);
+                1.0 - (share + 1.0).powf(c.neg_am1)
             }
-            Some(_) => {
-                for lane in 0..LANES {
-                    out[lane] = self.eval(ks[lane]);
-                }
-            }
+            _ => 0.0,
+        };
+        (h, lm)
+    }
+
+    /// Eight [`Self::factors`] evaluations in one loop body; lane `i`
+    /// equals `factors(ks[i])` bitwise.
+    #[inline]
+    pub(crate) fn factors8(&self, ks: &[f64; LANES]) -> ([f64; LANES], [f64; LANES]) {
+        let mut hs = [0.0; LANES];
+        let mut lms = [0.0; LANES];
+        for lane in 0..LANES {
+            (hs[lane], lms[lane]) = self.factors(ks[lane]);
         }
-        out
+        (hs, lms)
+    }
+
+    /// Loaded latency `D = h·L$ + (1−h)·L_m` (Eq. 1) in `eval`'s
+    /// operation order; `D = L_m` without a cache.
+    #[inline]
+    pub(crate) fn loaded_latency(&self, h: f64, lm: f64) -> f64 {
+        h * self.cache.map_or(0.0, |c| c.l_cache) + (1.0 - h) * lm
+    }
+
+    /// Absolute error bound on a computed hit rate `h`, with the unit
+    /// roundoff `u = f64::EPSILON / 2`: `share + 1` carries at most `3u`
+    /// of relative rounding, which `powf` scales by the exponent `α − 1`;
+    /// `powf` itself and `1 − p` add a few `u` more (`p ≤ 1`), so
+    /// `(3(α−1) + 5)·u` in all. Returned as `(8(α−1) + 32)·u` for
+    /// headroom; `0` when `h` is the exact constant 0.
+    pub(crate) fn hit_rate_error(&self) -> f64 {
+        match self.cache {
+            Some(c) if c.s_cache > 0.0 => (4.0 * -c.neg_am1 + 16.0) * f64::EPSILON,
+            _ => 0.0,
+        }
     }
 }
 
@@ -207,11 +231,18 @@ mod tests {
             let grid = probes(m.workload.n);
             for chunk in grid.chunks_exact(LANES) {
                 let ks: [f64; LANES] = chunk.try_into().unwrap();
-                let fs = sup.eval8(&ks);
+                let (hs, lms) = sup.factors8(&ks);
                 let gs = dem.eval8(&ks);
                 for lane in 0..LANES {
-                    assert_eq!(fs[lane].to_bits(), sup.eval(ks[lane]).to_bits());
+                    let (h, lm) = sup.factors(ks[lane]);
+                    assert_eq!(hs[lane].to_bits(), h.to_bits());
+                    assert_eq!(lms[lane].to_bits(), lm.to_bits());
                     assert_eq!(gs[lane].to_bits(), dem.eval(ks[lane]).to_bits());
+                    // The tabulated factors compose to `eval` bit for bit.
+                    if m.cache.is_some() && ks[lane] > 0.0 {
+                        let f = ks[lane] / sup.loaded_latency(h, lm);
+                        assert_eq!(f.to_bits(), sup.eval(ks[lane]).to_bits());
+                    }
                 }
             }
         }

@@ -5,33 +5,47 @@
 //! the ~2048 dense-scan samples plus every bisection step, for every
 //! solve — yet `f(k)` depends only on `(R, L, S$, L$, α, β)`, never on
 //! `n` or `Z`, so one tabulation amortizes across an entire sweep. A
-//! [`CurveTable`] samples `f` once per curve (through the lane-batched
-//! [`crate::batch`] kernels when built from a model) and [`solve_fast`]
-//! answers each solve from the table with one cold engine of three
-//! stages:
+//! [`CurveTable`] evaluates Eq. (5)'s two factors once per grid point
+//! (through the eight-lane [`crate::batch`] kernel) and turns them into a
+//! *proven enclosure* of `f` on every table interval:
+//!
+//! * the hit rate `h(k)` is non-increasing and `L_m(k) = max{L, k/R}`
+//!   non-decreasing, and the loaded latency `D = h·L$ + (1−h)·L_m` is
+//!   bilinear in the two, so over `[k_i, k_{i+1}]` it lies between the
+//!   smallest and largest `D` at the corners of the box
+//!   `[h_{i+1}, h_i] × [L_m(k_i), L_m(k_{i+1})]` — with `L ≥ L$` simply
+//!   `[D(k_i), D(k_{i+1})]`, and the roofline is the `h = 0` case;
+//! * every bound is widened for the rounding of the factors (the
+//!   kernel's `SupplyKernel::hit_rate_error` plus a few units of
+//!   roundoff), and an
+//!   interval touching a non-finite factor is *unsound*: `(−∞, +∞)`;
+//! * `f(k) = k/D(k)` then lies in `[k/D_hi, k/D_lo]`, evaluated from
+//!   stored reciprocals at the sample's own `k`.
+//!
+//! The bound holds at any resolution and any table width. [`solve_fast`]
+//! answers each solve with one cold engine of three stages, each
+//! deciding a sign from the table only when `lo − ĝ > 0` or
+//! `hi − ĝ < 0` (rounding is monotone, so the exact residual then has
+//! that sign and is not zero) and evaluating `f` exactly otherwise:
 //!
 //! * **span descent** — recursively screen dense-sample spans with O(1)
-//!   min/max/margin range queries over a block-indexed sparse table: a
-//!   span whose bracketed `f(k) − ĝ(n−k)` range excludes zero cannot
-//!   contain a root and is skipped wholesale;
-//! * **refine** — surviving leaf spans evaluate eight dense samples per
-//!   loop body through the batched demand kernel; each sample uses the
-//!   interpolated `f̃(k)` and consults the exact curve only where
-//!   `|f̃(k) − ĝ(n−k)|` falls within the tabulated interpolation margin;
+//!   min/max range queries over a block-indexed sparse table of the
+//!   interval bounds: a span whose `f(k) − ĝ(n−k)` range excludes zero
+//!   cannot contain a root and is skipped wholesale;
+//! * **refine** — surviving leaf spans classify eight dense samples per
+//!   loop body, with the demand curve through the batched kernel;
 //! * **screened bisection** — brackets are polished between the same
-//!   dense-grid endpoints the reference would use, with each midpoint's
-//!   *sign* decided from the table whenever the margin allows and from
-//!   the exact curve otherwise; since a sound margin can neither flip a
-//!   sign nor hide an exact zero, the midpoint sequence — and therefore
-//!   the root — is bit-identical to [`solver::solve_with`]'s.
+//!   dense-grid endpoints the reference would use, so the midpoint
+//!   sequence — and therefore the root — is bit-identical to
+//!   [`solver::solve_with`]'s.
 //!
 //! Each stage preserves one invariant: the sign class the engine assigns
 //! to a dense sample (or proves for a whole span) equals the class the
 //! reference computes exactly, so the emitted brackets, bisections and
 //! intersection points are the ones the reference emits — pinned bitwise
-//! by the parity suites in `tests/fastpath.rs`. Non-finite samples mark
-//! their intervals *unsound* (infinite margin): those are never skipped
-//! and always evaluated exactly, preserving the reference's NaN-hole
+//! by `tests/fastpath.rs` and the differential fuzzer in
+//! `tests/fastpath_fuzz.rs`. Unsound intervals are never skipped and
+//! always evaluated exactly, preserving the reference's NaN-hole
 //! behaviour.
 //!
 //! [`SolveCache`] wraps a table with staleness tracking for use inside
@@ -48,17 +62,23 @@ use std::cell::Cell;
 /// Default number of table intervals.
 pub const DEFAULT_RESOLUTION: usize = 4096;
 
-/// Safety factor applied to the probe-estimated interpolation error.
-/// For one curvature sign or a single kink inside an interval the worst
-/// lerp deviation is within ~1.6× of the worse third-point probe.
-const MARGIN_SAFETY: f64 = 8.0;
-
 /// Table intervals per [`SpanIndex`] block.
 const INDEX_BLOCK: usize = 32;
 
 /// Dense-sample span width at which descent stops subdividing and
 /// refines sample-by-sample.
 const REFINE_LEAF: usize = 32;
+
+/// Relative widening of the corner latencies, `32u` with the unit
+/// roundoff `u = f64::EPSILON / 2`: the rounding of `L_m`, of the corner
+/// expression and of `eval`'s own `D` (about `8u`), and the change of `D`
+/// over the `3u` of `k` by which a lookup can miss an interval's ends,
+/// with headroom.
+const D_WIDEN: f64 = 16.0 * f64::EPSILON;
+
+/// The reciprocal bounds of an unsound interval: every bound they give
+/// is infinite, so nothing is decided from it.
+const UNSOUND: (f64, f64) = (f64::NEG_INFINITY, f64::INFINITY);
 
 /// The parameters a [`CurveTable`] is keyed on: everything that shapes
 /// the supply curve `f(k)` — and nothing that does not (`n`, `Z`, `E`
@@ -84,12 +104,12 @@ impl CurveKey {
     }
 }
 
-/// One [`SpanIndex`] summary: sample min/max and worst interval margin.
+/// One [`SpanIndex`] summary: the smallest lower and largest upper bound
+/// of `f` over a run of intervals.
 #[derive(Debug, Clone, Copy)]
 struct SpanBlock {
     min: f64,
     max: f64,
-    margin: f64,
 }
 
 impl SpanBlock {
@@ -97,18 +117,14 @@ impl SpanBlock {
         Self {
             min: a.min.min(b.min),
             max: a.max.max(b.max),
-            margin: a.margin.max(b.margin),
         }
     }
 }
 
-/// O(1) range queries over the tabulated samples: a sparse table (doubling
-/// windows) over blocks of [`INDEX_BLOCK`] intervals, each summarizing the
-/// min/max sampled value and the worst interpolation margin. Non-finite
-/// samples are covered by their intervals' infinite margins: any block
-/// touching one reports an infinite margin, so queries over it are
-/// rejected as unsound rather than answered with `f64::min`-laundered
-/// NaN bounds.
+/// O(1) range queries over the interval enclosures: a sparse table
+/// (doubling windows) over blocks of [`INDEX_BLOCK`] intervals. Unsound
+/// intervals carry `(−∞, +∞)`, which `min`/`max` propagate, so any block
+/// touching one reports infinite bounds.
 #[derive(Debug, Clone)]
 struct SpanIndex {
     /// `levels[l][b]` summarizes blocks `b..b + 2^l`.
@@ -116,29 +132,28 @@ struct SpanIndex {
 }
 
 impl SpanIndex {
-    fn build(values: &[f64], margins: &[f64]) -> Self {
-        let intervals = margins.len();
-        let blocks = intervals.div_ceil(INDEX_BLOCK);
-        let mut base = Vec::with_capacity(blocks);
-        for b in 0..blocks {
-            let i0 = b * INDEX_BLOCK;
-            let i1 = ((b + 1) * INDEX_BLOCK).min(intervals);
-            // Samples i0..=i1 (inclusive right edge: interval i ends at
-            // sample i+1), intervals i0..i1.
-            let mut blk = SpanBlock {
-                min: f64::INFINITY,
-                max: f64::NEG_INFINITY,
-                margin: 0.0,
-            };
-            for &v in &values[i0..=i1] {
-                blk.min = blk.min.min(v);
-                blk.max = blk.max.max(v);
-            }
-            for &m in &margins[i0..i1] {
-                blk.margin = blk.margin.max(m);
-            }
-            base.push(blk);
-        }
+    /// Index the interval enclosures `[k_i·r_lo, k_{i+1}·r_hi]`.
+    fn build(step: f64, recips: &[(f64, f64)]) -> Self {
+        let interval = |i: usize| match recips[i] {
+            UNSOUND => SpanBlock {
+                min: f64::NEG_INFINITY,
+                max: f64::INFINITY,
+            },
+            (r_lo, r_hi) => SpanBlock {
+                min: step * i as f64 * r_lo,
+                max: step * (i + 1) as f64 * r_hi,
+            },
+        };
+        let base: Vec<SpanBlock> = (0..recips.len())
+            .step_by(INDEX_BLOCK)
+            .map(|i0| {
+                let i1 = (i0 + INDEX_BLOCK).min(recips.len());
+                (i0 + 1..i1)
+                    .map(interval)
+                    .fold(interval(i0), SpanBlock::merge)
+            })
+            .collect();
+        let blocks = base.len();
         let mut levels = vec![base];
         let mut width = 1usize;
         while width * 2 <= blocks {
@@ -155,6 +170,7 @@ impl SpanIndex {
     }
 
     /// Merged summary of blocks `ba..=bb`.
+    #[inline]
     fn query(&self, ba: usize, bb: usize) -> SpanBlock {
         let len = bb - ba + 1;
         let l = (usize::BITS - 1 - len.leading_zeros()) as usize;
@@ -163,22 +179,16 @@ impl SpanIndex {
     }
 }
 
-/// Piecewise-linear tabulation of one supply curve over `[0, k_max]`,
-/// with sound interpolation-error margins and a block-indexed sparse
-/// table for O(1) span queries.
+/// Proven per-interval enclosure of one supply curve over `[0, k_max]`,
+/// with a block-indexed sparse table for O(1) span queries.
 #[derive(Debug, Clone)]
 pub struct CurveTable {
-    /// `None` for tables built from raw closures via
-    /// [`CurveTable::tabulate`], where no model key exists.
-    key: Option<CurveKey>,
+    key: CurveKey,
     k_max: f64,
     step: f64,
-    /// `resolution + 1` exact samples `f(i·step)`.
-    values: Vec<f64>,
-    /// Per-interval interpolation margins (`+∞` on unsound intervals).
-    /// Unsound intervals need no separate index: any [`SpanIndex`] block
-    /// touching one reports an infinite margin.
-    margins: Vec<f64>,
+    /// Per interval, bounds `(1/D_hi, 1/D_lo)` on `1/D(k)`, so
+    /// `k·r_lo ≤ f(k) ≤ k·r_hi` there; `(−∞, +∞)` on unsound intervals.
+    recips: Vec<(f64, f64)>,
     span_index: SpanIndex,
     build_evals: u64,
 }
@@ -190,122 +200,64 @@ impl CurveTable {
         Self::build_with(model, k_max, DEFAULT_RESOLUTION)
     }
 
-    /// Tabulate with an explicit interval count. The resolution must
-    /// resolve the curve's features (peak/valley widths) for the
-    /// screening margins to be sound; [`DEFAULT_RESOLUTION`] does so for
-    /// the model's Eq. (2)/(5) curves over any practical domain.
+    /// Tabulate with an explicit interval count (`0` counts as `1`). The
+    /// enclosure is sound at any resolution; a finer one only screens
+    /// more samples.
+    ///
+    /// # Panics
+    ///
+    /// When `k_max` is not finite and positive.
     pub fn build_with(model: &XModel, k_max: f64, resolution: usize) -> Self {
-        Self::from_kernel(
-            Some(CurveKey::of(model)),
-            &SupplyKernel::of(model),
-            k_max,
-            resolution,
-        )
-    }
-
-    /// Tabulate an arbitrary supply curve from a raw closure (used with
-    /// [`solve_fast_curves`], e.g. for fault-injected curves in tests).
-    /// The resulting table carries no model key; pairing it with the
-    /// same curve at solve time is the caller's responsibility.
-    pub fn tabulate(f: &dyn Fn(f64) -> f64, k_max: f64, resolution: usize) -> Self {
-        Self::from_curve(None, f, k_max, resolution)
-    }
-
-    fn from_curve(
-        key: Option<CurveKey>,
-        curve: &dyn Fn(f64) -> f64,
-        k_max: f64,
-        resolution: usize,
-    ) -> Self {
         assert!(k_max.is_finite() && k_max > 0.0, "k_max must be positive");
-        assert!(resolution >= 16, "need at least 16 table intervals");
+        let resolution = resolution.max(1);
+        let kernel = SupplyKernel::of(model);
         let step = k_max / resolution as f64;
-        let values: Vec<f64> = (0..=resolution).map(|i| curve(step * i as f64)).collect();
-        // Two third-point probes per interval, in the same `[p1, p2]`
-        // interleaving (and the exact f64 expressions) as the batched
-        // builder below.
-        let mut probes = Vec::with_capacity(2 * resolution);
-        for i in 0..resolution {
-            let a = step * i as f64;
-            probes.push(curve(a + step / 3.0));
-            probes.push(curve(a + 2.0 * step / 3.0));
-        }
-        let evals = (3 * resolution + 1) as u64;
-        Self::finish_build(key, k_max, step, values, probes, evals, 0)
-    }
-
-    /// Batched tabulation through the lane-friendly [`SupplyKernel`]:
-    /// identical grid, probe points and margins as [`Self::from_curve`]
-    /// (the kernel is bit-identical to the model facade), but the
-    /// `3·resolution + 1` evaluations run eight per loop body.
-    fn from_kernel(
-        key: Option<CurveKey>,
-        kernel: &SupplyKernel,
-        k_max: f64,
-        resolution: usize,
-    ) -> Self {
-        assert!(k_max.is_finite() && k_max > 0.0, "k_max must be positive");
-        assert!(resolution >= 16, "need at least 16 table intervals");
-        let step = k_max / resolution as f64;
-        // `a + step / 3.0` and `a + 2.0 * step / 3.0` with the divisions
-        // hoisted: same f64 expressions, so same bits as the scalar path.
-        let third = step / 3.0;
-        let two_thirds = 2.0 * step / 3.0;
-        let mut ks: Vec<f64> = Vec::with_capacity(3 * resolution + 1);
-        ks.extend((0..=resolution).map(|i| step * i as f64));
-        for i in 0..resolution {
-            let a = step * i as f64;
-            ks.push(a + third);
-            ks.push(a + two_thirds);
-        }
-        let mut out = vec![0.0f64; ks.len()];
+        let ks: Vec<f64> = (0..=resolution).map(|i| step * i as f64).collect();
+        let mut hs = vec![0.0f64; ks.len()];
+        let mut lms = vec![0.0f64; ks.len()];
         let mut batch_bodies = 0u64;
-        let mut i = 0usize;
-        while i + LANES <= ks.len() {
-            let mut lanes = [0.0f64; LANES];
-            lanes.copy_from_slice(&ks[i..i + LANES]);
-            let fs = kernel.eval8(&lanes);
-            out[i..i + LANES].copy_from_slice(&fs);
-            batch_bodies += 1;
-            i += LANES;
-        }
-        while i < ks.len() {
-            out[i] = kernel.eval(ks[i]);
-            i += 1;
-        }
-        let probes = out.split_off(resolution + 1);
-        let evals = ks.len() as u64;
-        Self::finish_build(key, k_max, step, out, probes, evals, batch_bodies)
-    }
-
-    /// Shared tail of both builders: margins from the probe points, then
-    /// the span index.
-    fn finish_build(
-        key: Option<CurveKey>,
-        k_max: f64,
-        step: f64,
-        values: Vec<f64>,
-        probes: Vec<f64>,
-        build_evals: u64,
-        batch_bodies: u64,
-    ) -> Self {
-        let resolution = values.len() - 1;
-        let mut margins = Vec::with_capacity(resolution);
-        for i in 0..resolution {
-            let va = values[i];
-            let vb = values[i + 1];
-            let p1 = probes[2 * i];
-            let p2 = probes[2 * i + 1];
-            let e1 = (p1 - (va + (vb - va) / 3.0)).abs();
-            let e2 = (p2 - (va + (vb - va) * 2.0 / 3.0)).abs();
-            let sound = va.is_finite() && vb.is_finite() && p1.is_finite() && p2.is_finite();
-            margins.push(if sound {
-                MARGIN_SAFETY * e1.max(e2) + 1e-12 * (va.abs().max(vb.abs()) + 1.0)
+        for (c, lanes) in ks.chunks(LANES).enumerate() {
+            let range = c * LANES..c * LANES + lanes.len();
+            if let Ok(lanes) = <&[f64; LANES]>::try_from(lanes) {
+                let (h8, lm8) = kernel.factors8(lanes);
+                hs[range.clone()].copy_from_slice(&h8);
+                lms[range].copy_from_slice(&lm8);
+                batch_bodies += 1;
             } else {
-                f64::INFINITY
-            });
+                for i in range {
+                    (hs[i], lms[i]) = kernel.factors(ks[i]);
+                }
+            }
         }
-        let span_index = SpanIndex::build(&values, &margins);
+
+        // D rises with L_m (its weight 1 − h is ≥ 0), so the low corners
+        // sit on the L_m(k_i) edge and the high ones on L_m(k_{i+1}).
+        // `slack` covers the error of each computed h, which moves D by
+        // at most `Δh·|L$ − L_m|`, once at the grid and once in `eval`,
+        // and the drift of h over a lookup's `3u` miss (≤ `3(α−1)u`,
+        // inside `Δh`).
+        let dh = kernel.hit_rate_error();
+        let l_cache = kernel.loaded_latency(1.0, 0.0); // L$, or 0 without a cache
+        let d = |h: f64, lm: f64| kernel.loaded_latency(h, lm);
+        let recips: Vec<(f64, f64)> = (0..resolution)
+            .map(|i| {
+                let (h0, h1, m0, m1) = (hs[i], hs[i + 1], lms[i], lms[i + 1]);
+                let slack = 4.0 * dh * (m1 + l_cache);
+                let d_lo = d(h0, m0).min(d(h1, m0)) * (1.0 - D_WIDEN) - slack;
+                let d_hi = d(h0, m1).max(d(h1, m1)) * (1.0 + D_WIDEN) + slack;
+                let finite = [h0, h1, m0, m1].iter().all(|v| v.is_finite());
+                if finite && d_lo > 0.0 && d_hi.is_finite() {
+                    // The reciprocal, the widening and `k·r` each round
+                    // once more, and `k_i·r` must also bound `f` at
+                    // `k_i·(1 − 3u)`: `16u` outward covers all four.
+                    let r_lo = (1.0 / d_hi) * (1.0 - 8.0 * f64::EPSILON);
+                    (r_lo, (1.0 / d_lo) * (1.0 + 8.0 * f64::EPSILON))
+                } else {
+                    UNSOUND
+                }
+            })
+            .collect();
+        let build_evals = ks.len() as u64;
         if xmodel_obs::enabled() {
             use xmodel_obs::metrics::counter_add;
             use xmodel_obs::names::metric;
@@ -314,20 +266,18 @@ impl CurveTable {
             counter_add(metric::FASTPATH_BATCH_EVALS, batch_bodies);
         }
         Self {
-            key,
+            key: CurveKey::of(model),
             k_max,
             step,
-            values,
-            margins,
-            span_index,
+            span_index: SpanIndex::build(step, &recips),
+            recips,
             build_evals,
         }
     }
 
-    /// The curve parameters this table was built for (`None` for raw
-    /// [`CurveTable::tabulate`] tables).
-    pub fn key(&self) -> Option<&CurveKey> {
-        self.key.as_ref()
+    /// The curve parameters this table was built for.
+    pub fn key(&self) -> &CurveKey {
+        &self.key
     }
 
     /// Upper end of the tabulated domain.
@@ -337,7 +287,7 @@ impl CurveTable {
 
     /// Number of table intervals.
     pub fn resolution(&self) -> usize {
-        self.margins.len()
+        self.recips.len()
     }
 
     /// Exact curve evaluations spent building this table.
@@ -345,37 +295,36 @@ impl CurveTable {
         self.build_evals
     }
 
-    /// Interpolated `f̃(k)` with the containing interval's margin
-    /// (`+∞` on unsound intervals). `k` should lie within `[0, k_max]`.
-    pub fn interp(&self, k: f64) -> (f64, f64) {
-        let i = self.interval_of(k);
-        (self.lerp_in(i, k), self.margins[i])
+    /// The interval holding `k`, or `None` outside `[0, k_max]`. `k /
+    /// step` can round across a grid point, placing `k` up to a relative
+    /// `3u` outside the interval's ends; the enclosure covers that.
+    #[inline]
+    fn interval_of(&self, k: f64) -> Option<usize> {
+        let q = k / self.step;
+        let intervals = self.recips.len();
+        (0.0..=intervals as f64)
+            .contains(&q)
+            .then(|| (q as usize).min(intervals - 1))
     }
 
-    fn interval_of(&self, k: f64) -> usize {
-        ((k / self.step) as usize).min(self.margins.len().saturating_sub(1))
+    /// Bounds `(lo, hi)` on the computed `f(k)`; infinite on unsound
+    /// intervals, `None` outside the table.
+    #[inline]
+    fn bounds(&self, k: f64) -> Option<(f64, f64)> {
+        let (r_lo, r_hi) = self.recips[self.interval_of(k)?];
+        Some((k * r_lo, k * r_hi))
     }
 
-    fn lerp_in(&self, i: usize, k: f64) -> f64 {
-        let t = k / self.step - i as f64;
-        self.values[i] + (self.values[i + 1] - self.values[i]) * t
-    }
-
-    /// Bounds `(lo, hi)` on the true curve over `[a, b]`, or `None` when
-    /// the covering index blocks touch an unsound interval. The answer
-    /// may cover a superset of `[a, b]` (block granularity): wider
-    /// bounds are still sound.
+    /// Bounds `(lo, hi)` on the computed curve over `[a, b]`, or `None`
+    /// when the covering index blocks touch an unsound interval or leave
+    /// the table. The answer may cover a superset of `[a, b]` (block
+    /// granularity): wider bounds are still sound.
+    #[inline]
     fn span_bounds(&self, a: f64, b: f64) -> Option<(f64, f64)> {
-        let ba = self.interval_of(a) / INDEX_BLOCK;
-        let bb = self.interval_of(b) / INDEX_BLOCK;
+        let ba = self.interval_of(a)? / INDEX_BLOCK;
+        let bb = self.interval_of(b)? / INDEX_BLOCK;
         let blk = self.span_index.query(ba, bb);
-        if !blk.margin.is_finite() {
-            return None;
-        }
-        // Lerped values lie between their interval's endpoint samples,
-        // which the blocks cover, so sample min/max bound the whole
-        // piecewise-linear surrogate; the margin extends that to `f`.
-        Some((blk.min - blk.margin, blk.max + blk.margin))
+        (blk.min.is_finite() && blk.max.is_finite()).then_some((blk.min, blk.max))
     }
 }
 
@@ -387,15 +336,16 @@ pub struct SolveStats {
     pub f_evals: u64,
     /// Exact `ĝ(x)` evaluations (cheap, counted for completeness).
     pub g_evals: u64,
-    /// Dense samples answered from the interpolated table.
+    /// Dense samples and bisection midpoints whose sign the table
+    /// enclosure decided.
     pub interp_evals: u64,
     /// Dense-sample spans skipped wholesale by range screening.
     pub blocks_skipped: u64,
     /// Leaf spans that survived screening and were refined
     /// sample-by-sample.
     pub blocks_refined: u64,
-    /// Span screens disabled by an unsound (non-finite-margin) table
-    /// interval.
+    /// Span screens disabled by an unsound (non-finite) table interval
+    /// or a span reaching past `k_max`.
     pub unsound_disables: u64,
     /// Eight-lane demand-kernel loop bodies executed during refinement.
     pub batch_evals: u64,
@@ -428,66 +378,16 @@ fn classify(v: f64) -> Class {
     }
 }
 
-/// The two curves of one solve, abstracted so the engine monomorphizes
-/// over the flattened kernels (model solves) and dynamic closures
-/// (fault-injected / synthetic curves) alike.
-trait CurvePair {
-    fn f(&self, k: f64) -> f64;
-    fn g(&self, x: f64) -> f64;
-    /// Eight demand evaluations per call; lane `i` must equal
-    /// `self.g(xs[i])` bitwise.
-    fn g8(&self, xs: &[f64; LANES]) -> [f64; LANES] {
-        let mut out = [0.0; LANES];
-        for lane in 0..LANES {
-            out[lane] = self.g(xs[lane]);
-        }
-        out
-    }
-}
-
-struct KernelCurves {
-    supply: SupplyKernel,
-    demand: DemandKernel,
-}
-
-impl CurvePair for KernelCurves {
-    #[inline]
-    fn f(&self, k: f64) -> f64 {
-        self.supply.eval(k)
-    }
-    #[inline]
-    fn g(&self, x: f64) -> f64 {
-        self.demand.eval(x)
-    }
-    #[inline]
-    fn g8(&self, xs: &[f64; LANES]) -> [f64; LANES] {
-        self.demand.eval8(xs)
-    }
-}
-
-struct DynCurves<'a> {
-    f: &'a dyn Fn(f64) -> f64,
-    g: &'a dyn Fn(f64) -> f64,
-}
-
-impl CurvePair for DynCurves<'_> {
-    fn f(&self, k: f64) -> f64 {
-        (self.f)(k)
-    }
-    fn g(&self, x: f64) -> f64 {
-        (self.g)(x)
-    }
-}
-
-/// The solve engine over one `(curves, table, n)` instance.
+/// The solve engine over one `(model, table, n)` instance.
 ///
 /// Soundness invariant shared by all three stages: the class assigned to
-/// a dense sample — via the interpolation-margin route, the exact route,
-/// or a whole-span screen — always equals `classify` of the exact
-/// residual at that sample, so the emitted brackets (and the bisection
-/// midpoint sequence inside each) are the reference's.
-struct Engine<'a, C: CurvePair> {
-    curves: &'a C,
+/// a dense sample — via the table enclosure, the exact route, or a
+/// whole-span screen — always equals `classify` of the exact residual at
+/// that sample, so the emitted brackets (and the bisection midpoint
+/// sequence inside each) are the reference's.
+struct Engine<'a> {
+    supply: SupplyKernel,
+    demand: DemandKernel,
     table: &'a CurveTable,
     n: f64,
     z: f64,
@@ -504,58 +404,61 @@ struct Engine<'a, C: CurvePair> {
     batch_evals: u64,
 }
 
-impl<C: CurvePair> Engine<'_, C> {
+impl Engine<'_> {
     fn f_exact(&self, k: f64) -> f64 {
         self.f_evals.set(self.f_evals.get() + 1);
-        self.curves.f(k)
+        self.supply.eval(k)
     }
 
     fn g_exact(&self, x: f64) -> f64 {
         self.g_evals.set(self.g_evals.get() + 1);
-        self.curves.g(x)
+        self.demand.eval(x)
+    }
+
+    /// The class of `f(k) − gk` when the table enclosure decides it:
+    /// `lo ≤ f(k) ≤ hi` and rounding is monotone, so `lo − gk > 0` (or
+    /// `hi − gk < 0`) carries over to the exact residual, which is then
+    /// not zero either. `None` when the enclosure straddles `gk`.
+    #[inline]
+    fn table_class(&self, k: f64, gk: f64) -> Option<Class> {
+        let (lo, hi) = self.table.bounds(k)?;
+        let class = if lo - gk > 0.0 {
+            Class::NonNeg
+        } else if hi - gk < 0.0 {
+            Class::Neg
+        } else {
+            return None;
+        };
+        self.interp_evals.set(self.interp_evals.get() + 1);
+        Some(class)
     }
 
     /// Append the classified intersection at `k`, evaluating the exact
     /// curves for the stability slopes like the reference does.
     fn emit_point(&mut self, k: f64) {
-        let p = {
-            let fe = &self.f_evals;
-            let ge = &self.g_evals;
-            let curves = self.curves;
-            let f = |kk: f64| {
-                fe.set(fe.get() + 1);
-                curves.f(kk)
-            };
-            let g = |xx: f64| {
-                ge.set(ge.get() + 1);
-                curves.g(xx)
-            };
-            solver::make_point(&f, &g, self.n, self.z, k)
-        };
+        let f = |kk: f64| self.f_exact(kk);
+        let g = |xx: f64| self.g_exact(xx);
+        let p = solver::make_point(&f, &g, self.n, self.z, k);
         self.points.push(p);
     }
 
     /// Screened bisection over `[lo, hi]`: the reference's exact
     /// midpoint sequence, with each midpoint's sign read from the table
-    /// when `|f̃ − ĝ|` clears the interval margin (then the true residual
-    /// has the same sign and cannot be zero, since sound margins are
-    /// strictly positive) and from the exact curve otherwise. Returns
-    /// the bit-identical root.
+    /// enclosure when it decides one and from the exact curve otherwise.
+    /// Returns the bit-identical root.
     fn bisect(&self, mut lo: f64, mut hi: f64, lo_neg: bool) -> f64 {
         for _ in 0..solver::BISECT_ITERS {
             let mid = 0.5 * (lo + hi);
             let gk = self.g_exact(self.n - mid);
-            let (ft, margin) = self.table.interp(mid);
-            let vt = ft - gk;
-            let neg = if vt.abs() > margin {
-                self.interp_evals.set(self.interp_evals.get() + 1);
-                vt < 0.0
-            } else {
-                let v = self.f_exact(mid) - gk;
-                if v == 0.0 {
-                    return mid;
+            let neg = match self.table_class(mid, gk) {
+                Some(class) => class == Class::Neg,
+                None => {
+                    let v = self.f_exact(mid) - gk;
+                    if v == 0.0 {
+                        return mid;
+                    }
+                    v < 0.0
                 }
-                v < 0.0
             };
             if neg == lo_neg {
                 lo = mid;
@@ -617,14 +520,9 @@ impl<C: CurvePair> Engine<'_, C> {
     /// Classify one refined sample and run the reference's per-sample
     /// bracket logic against the running `(prev_k, prev_class)` state.
     fn refine_sample(&mut self, k: f64, gk: f64) {
-        let (ft, margin) = self.table.interp(k);
-        let vt = ft - gk;
-        let class = if vt.abs() > margin {
-            self.interp_evals.set(self.interp_evals.get() + 1);
-            classify(vt)
-        } else {
-            classify(self.f_exact(k) - gk)
-        };
+        let class = self
+            .table_class(k, gk)
+            .unwrap_or_else(|| classify(self.f_exact(k) - gk));
         match class {
             Class::Zero => self.emit_point(k),
             _ => {
@@ -651,7 +549,7 @@ impl<C: CurvePair> Engine<'_, C> {
                 ks[lane] = self.step * (idx + lane) as f64;
                 xs[lane] = self.n - ks[lane];
             }
-            let gs = self.curves.g8(&xs);
+            let gs = self.demand.eval8(&xs);
             self.g_evals.set(self.g_evals.get() + LANES as u64);
             self.batch_evals += 1;
             for lane in 0..LANES {
@@ -683,17 +581,33 @@ impl<C: CurvePair> Engine<'_, C> {
     }
 }
 
-/// The solve core behind every fast-path entry point: the exact
-/// sample 0, then span descent over samples `1..=samples`.
-fn solve_core<C: CurvePair>(
-    curves: &C,
+/// Solve `model` against a prebuilt [`CurveTable`], returning the same
+/// [`Equilibria`] as [`XModel::solve_with`] at the same `samples`.
+///
+/// # Panics
+///
+/// When `table` was built for a different supply curve, does not cover
+/// `[0, n]`, or `samples < 2`.
+// xlint: determinism-root
+pub fn solve_fast(model: &XModel, table: &CurveTable, samples: usize) -> Equilibria {
+    solve_fast_stats(model, table, samples).0
+}
+
+/// [`solve_fast`] returning evaluation statistics alongside the result:
+/// the exact sample 0, then span descent over samples `1..=samples`.
+// xlint: determinism-root
+pub fn solve_fast_stats(
+    model: &XModel,
     table: &CurveTable,
-    n: f64,
-    z: f64,
     samples: usize,
 ) -> (Equilibria, SolveStats) {
+    assert!(
+        table.key == CurveKey::of(model),
+        "CurveTable was built for a different supply curve"
+    );
     assert!(samples >= 2, "need at least two scan samples");
     let _span = xmodel_obs::span!(xmodel_obs::names::span::SOLVER_SOLVE_FAST);
+    let (n, z) = (model.workload.n, model.workload.z);
     if n <= 0.0 {
         return (
             Equilibria::from_points(Vec::new(), n),
@@ -708,7 +622,8 @@ fn solve_core<C: CurvePair>(
     );
     let step = n / samples as f64;
     let mut engine = Engine {
-        curves,
+        supply: SupplyKernel::of(model),
+        demand: DemandKernel::of(model),
         table,
         n,
         z,
@@ -754,57 +669,6 @@ fn solve_core<C: CurvePair>(
         counter_add(metric::FASTPATH_BATCH_EVALS, stats.batch_evals);
     }
     (eq, stats)
-}
-
-/// Solve `model` against a prebuilt [`CurveTable`], returning the same
-/// [`Equilibria`] as [`XModel::solve_with`] at the same `samples`.
-///
-/// # Panics
-///
-/// When `table` was built for a different supply curve, does not cover
-/// `[0, n]`, or `samples < 2`.
-// xlint: determinism-root
-pub fn solve_fast(model: &XModel, table: &CurveTable, samples: usize) -> Equilibria {
-    solve_fast_stats(model, table, samples).0
-}
-
-/// [`solve_fast`] returning evaluation statistics alongside the result.
-// xlint: determinism-root
-pub fn solve_fast_stats(
-    model: &XModel,
-    table: &CurveTable,
-    samples: usize,
-) -> (Equilibria, SolveStats) {
-    assert!(
-        table.key == Some(CurveKey::of(model)),
-        "CurveTable was built for a different supply curve"
-    );
-    let curves = KernelCurves {
-        supply: SupplyKernel::of(model),
-        demand: DemandKernel::of(model),
-    };
-    solve_core(&curves, table, model.workload.n, model.workload.z, samples)
-}
-
-/// [`solve_fast`] over raw curve closures paired with a
-/// [`CurveTable::tabulate`] table of the same `f` — the entry point for
-/// curves that exist outside an [`XModel`] (fault-injected or synthetic
-/// shapes). `g_hat` must be non-decreasing in `x` (every Eq. (1) demand
-/// curve is) for the span screening to be sound.
-// xlint: determinism-root
-pub fn solve_fast_curves(
-    curve_f: &dyn Fn(f64) -> f64,
-    curve_g_hat: &dyn Fn(f64) -> f64,
-    table: &CurveTable,
-    n: f64,
-    z: f64,
-    samples: usize,
-) -> (Equilibria, SolveStats) {
-    let curves = DynCurves {
-        f: curve_f,
-        g: curve_g_hat,
-    };
-    solve_core(&curves, table, n, z, samples)
 }
 
 /// Run the exact reference [`XModel::solve_with`] while counting curve
@@ -886,7 +750,7 @@ impl SolveCache {
         }
         let had_table = self.table.is_some();
         let stale = match &self.table {
-            Some(t) => t.key != Some(CurveKey::of(model)) || t.k_max < n,
+            Some(t) => t.key != CurveKey::of(model) || t.k_max < n,
             None => true,
         };
         if xmodel_obs::enabled() {
@@ -962,48 +826,117 @@ mod tests {
         )
     }
 
+    /// SplitMix64 stream for the randomized enclosure checks.
+    fn splitmix(state: &mut u64) -> f64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// `f(k)` lies in the table's bounds at `k`.
+    fn assert_encloses(t: &CurveTable, m: &XModel, k: f64) {
+        let (lo, hi) = t.bounds(k).expect("k inside the table");
+        let v = m.fk(k);
+        assert!(lo <= v && v <= hi, "f({k}) = {v} outside [{lo}, {hi}]");
+    }
+
     #[test]
     fn table_matches_curve_at_grid_points() {
         let m = cached_model();
         let t = CurveTable::build_with(&m, 64.0, 256);
-        for i in [0usize, 17, 128, 256] {
-            let k = 64.0 * i as f64 / 256.0;
-            let (v, _) = t.interp(k);
-            assert!((v - m.fk(k)).abs() < 1e-12, "grid point {i}");
+        assert_eq!(t.build_evals(), 256 + 1);
+        for i in 0..=256 {
+            assert_encloses(&t, &m, t.step * i as f64);
         }
-        assert_eq!(t.build_evals(), 3 * 256 + 1);
     }
 
     #[test]
-    fn kernel_and_scalar_builds_are_bitwise_identical() {
-        let m = cached_model();
-        let fast = CurveTable::build_with(&m, 64.0, 256);
-        let f = |k: f64| m.fk(k);
-        let scalar = CurveTable::from_curve(None, &f, 64.0, 256);
-        assert_eq!(fast.values.len(), scalar.values.len());
-        for i in 0..fast.values.len() {
-            assert_eq!(fast.values[i].to_bits(), scalar.values[i].to_bits());
+    fn build_evals_is_resolution_plus_one() {
+        for m in [basic_model(), cached_model()] {
+            for resolution in [1usize, 2, 7, 8, 255, DEFAULT_RESOLUTION] {
+                let t = CurveTable::build_with(&m, 48.0, resolution);
+                assert_eq!(t.resolution(), resolution);
+                assert_eq!(t.build_evals(), resolution as u64 + 1);
+                for i in 0..=64 {
+                    assert_encloses(&t, &m, 48.0 * i as f64 / 64.0);
+                }
+            }
         }
-        for i in 0..fast.margins.len() {
-            assert_eq!(fast.margins[i].to_bits(), scalar.margins[i].to_bits());
-        }
-        assert_eq!(fast.build_evals(), scalar.build_evals());
     }
 
     #[test]
-    fn interp_margin_bounds_true_error() {
-        let m = cached_model();
-        let t = CurveTable::build(&m, 64.0);
-        // Off-grid probes: the interpolation error stays within margin.
-        for i in 0..999 {
-            let k = 64.0 * (i as f64 + 0.413) / 999.0;
-            let (v, margin) = t.interp(k);
-            assert!(
-                (v - m.fk(k)).abs() <= margin,
-                "margin violated at k = {k}: |{v} - {}| > {margin}",
-                m.fk(k)
-            );
+    fn enclosure_contains_curve_at_dense_points() {
+        let mut rng = 0x5EED_u64;
+        // L ≥ L$ (monotone D), L < L$ (interval arithmetic on the
+        // factors) and the roofline, each at widths ×1 to ×1024.
+        let slow_cache = CacheParams::try_new(48.0 * 1024.0, 900.0, 2.5, 512.0).unwrap();
+        let mut below = cached_model();
+        below.cache = Some(slow_cache);
+        for m in [cached_model(), below, basic_model()] {
+            for width in [1.0, 8.0, 64.0, 1024.0] {
+                let t = CurveTable::build(&m, 64.0 * width);
+                for _ in 0..2000 {
+                    let k = 64.0 * width * splitmix(&mut rng);
+                    assert_encloses(&t, &m, k);
+                }
+            }
         }
+    }
+
+    #[test]
+    fn enclosure_covers_three_ulps_beyond_interval_ends() {
+        // A lookup by `k / step` can place `k` up to a relative 3u (under
+        // three ulps of `k`) outside
+        // its interval: each interval's reciprocals must still bound `f`
+        // there, at both ends, for every curve shape.
+        let mut below = cached_model();
+        below.cache = Some(CacheParams::try_new(48.0 * 1024.0, 900.0, 2.5, 512.0).unwrap());
+        for m in [cached_model(), below, basic_model()] {
+            let t = CurveTable::build_with(&m, 4096.0, 512);
+            for (i, &(r_lo, r_hi)) in t.recips.iter().enumerate() {
+                let ends = [t.step * i as f64, t.step * (i + 1) as f64];
+                for ulps in -3i64..=3 {
+                    for end in ends {
+                        let k = f64::from_bits((end.to_bits() as i64 + ulps) as u64);
+                        if k.is_nan() || k <= 0.0 {
+                            continue;
+                        }
+                        let v = m.fk(k);
+                        assert!(k * r_lo <= v && v <= k * r_hi, "f({k}) = {v}, interval {i}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn poisoned_interval_is_never_screened() {
+        let m = cached_model();
+        let mut t = CurveTable::build_with(&m, 48.0, 64);
+        let (clean, clean_stats) = solve_fast_stats(&m, &t, 512);
+        assert_eq!(clean_stats.unsound_disables, 0);
+        // Interval 20 covers k ∈ [15, 15.75]: dense samples 161..=167
+        // inside it (the end samples also belong to the neighbours).
+        t.recips[20] = UNSOUND;
+        t.span_index = SpanIndex::build(t.step, &t.recips);
+        for sample in 161..=167 {
+            let k = 48.0 * sample as f64 / 512.0;
+            let (lo, hi) = t.bounds(k).expect("inside the table");
+            assert!(lo == f64::NEG_INFINITY && hi == f64::INFINITY);
+        }
+        assert!(t.span_bounds(0.0, 48.0).is_none(), "span over the hole");
+        assert!(t.span_bounds(15.2, 15.3).is_none(), "span inside the hole");
+        assert!(t.span_bounds(30.0, 40.0).is_some(), "healthy index block");
+        let (fast, stats) = solve_fast_stats(&m, &t, 512);
+        assert!(stats.unsound_disables > 0, "{stats:?}");
+        assert!(
+            stats.f_evals > clean_stats.f_evals,
+            "hole samples went exact"
+        );
+        assert_eq!(fast, clean);
+        assert_eq!(fast, m.solve_with(512));
     }
 
     #[test]

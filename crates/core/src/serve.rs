@@ -1191,6 +1191,44 @@ mod tests {
     }
 
     #[test]
+    fn wide_sweep_small_n_rows_match_dense_reference() {
+        // A bistable Eq. (5) model whose σ′ cache peak near n ≈ 2214 is
+        // far narrower than one interval of the table `/sweep` builds
+        // over `n_max`: the rows must still be the reference's, bit for
+        // bit.
+        let server = Server::start(test_config()).expect("start");
+        let (n_max, points, samples) = (1.0 + 2212.78 * 1023.0, 1024usize, 1024usize);
+        let body = format!(
+            "{{\"m\":0.69323,\"r\":0.0021897,\"l\":115.106,\"z\":1.19860,\"e\":3.31964,\
+             \"l1_kib\":1372.2890625,\"l1_latency\":3.92558,\"alpha\":6.09530,\
+             \"beta\":99625.7,\"n_max\":{n_max},\"points\":{points},\
+             \"samples\":{samples},\"deadline_ms\":600000}}"
+        );
+        let (status, _, text) = post(server.addr(), "/sweep", &body);
+        assert_eq!(status, 200, "sweep failed: {text}");
+        let base = XModel::with_cache(
+            MachineParams::try_new(0.69323, 0.0021897, 115.106).expect("machine"),
+            WorkloadParams::try_new(1.19860, 3.31964, n_max).expect("workload"),
+            CacheParams::try_new(1372.2890625 * 1024.0, 3.92558, 6.09530, 99625.7).expect("cache"),
+        );
+        for i in 0..4 {
+            let n = 1.0 + (n_max - 1.0) * i as f64 / (points - 1) as f64;
+            let eq = XModel {
+                workload: base.workload.with_n(n),
+                ..base
+            }
+            .solve_with(samples);
+            if i == 1 {
+                assert!(eq.is_bistable(), "row 1 lost its fixture: {eq:?}");
+            }
+            let row = sweep_row(n, eq.points().len(), eq.operating_point());
+            assert!(text.contains(&row), "row {i} differs from {row}");
+        }
+        server.drain();
+        assert!(server.wait().clean_drain);
+    }
+
+    #[test]
     fn malformed_and_model_errors_are_typed() {
         let server = Server::start(test_config()).expect("start");
         let addr = server.addr();

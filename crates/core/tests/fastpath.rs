@@ -5,12 +5,14 @@
 //! same dense-grid endpoints the reference uses, so the result must be
 //! bit-identical. These tests pin that on every Table II preset (both
 //! precisions, with and without a cache), on property-sampled workloads,
-//! on the three-intersection Fig. 9-B shape at a coarse `samples = 256`,
-//! and on fault-injected NaN-hole curves where the table's unsound
-//! intervals must disable screening rather than skip the hole. The same
-//! fixtures are also walked as `n`-sweeps over one shared table — the way
-//! `xmodel sweep` uses it — including across the Fig. 9-B 1 ↔ 3
-//! root-count boundary, with every cell compared to the reference.
+//! on three-intersection Fig. 9-B Eq. (5) models — at a coarse
+//! `samples = 256` and from tables up to ×1024 wider than the solve —
+//! and on an Eq. (5) model whose curve has a NaN hole, where the
+//! table's unsound intervals must disable screening rather than skip
+//! the hole. The same fixtures are also walked as `n`-sweeps over one
+//! shared table — the way `xmodel sweep` uses it — including across the
+//! Fig. 9-B 1 ↔ 3 root-count boundary, with every cell compared to the
+//! reference.
 
 use proptest::prelude::*;
 use xmodel_core::cache::CacheParams;
@@ -138,33 +140,33 @@ proptest! {
     }
 }
 
-/// The Fig. 9-B supply shape from the solver's unit suite: peak 0.3 at
-/// `k = 8`, valley 0.05 at `k = 24`, plateau 0.1.
-fn fig9b_f(k: f64) -> f64 {
-    let k = k.max(0.0);
-    if k <= 8.0 {
-        0.3 * k / 8.0
-    } else if k <= 24.0 {
-        0.3 - 0.25 * (k - 8.0) / 16.0
-    } else if k <= 60.0 {
-        0.05 + 0.05 * (k - 24.0) / 36.0
-    } else {
-        0.1
-    }
+/// The Fig. 9 case-study machine (`tests/figure_regeneration.rs`): an
+/// Eq. (5) cache peak that the demand curve crosses three times.
+fn fig9b(n: f64) -> XModel {
+    XModel::with_cache(
+        MachineParams::new(6.0, 0.02, 600.0),
+        WorkloadParams::new(66.0, 0.25, n),
+        CacheParams::try_new(16.0 * 1024.0, 30.0, 5.0, 2048.0).unwrap(),
+    )
 }
 
-/// Matching demand `ĝ(x) = min(x, 10)/50`.
-fn fig9b_g(x: f64) -> f64 {
-    x.clamp(0.0, 10.0) / 50.0
+/// A bistable Eq. (5) model whose σ′ cache peak (k ≈ 2.3 at
+/// n = 2213.78) is far narrower than one interval of a table built over
+/// `n × 1024` — the width `xmodel sweep --points 1024` builds for its
+/// first row.
+fn narrow_peak(n: f64) -> XModel {
+    XModel::with_cache(
+        MachineParams::new(0.69323, 0.0021897, 115.106),
+        WorkloadParams::new(1.19860, 3.31964, n),
+        CacheParams::try_new(1372.2890625 * 1024.0, 3.92558, 6.09530, 99625.7).unwrap(),
+    )
 }
 
 #[test]
 fn three_intersections_survive_coarse_samples() {
-    let (n, z) = (64.0, 50.0);
-    let typed_f = |k: Threads| ReqPerCycle(fig9b_f(k.get()));
-    let typed_g = |x: Threads| ReqPerCycle(fig9b_g(x.get()));
     // Coarse dense scan: the three roots must not collapse in dedup.
-    let exact = solver::solve_with(&typed_f, &typed_g, Threads(n), OpsPerRequest(z), 256);
+    let m = fig9b(60.0);
+    let exact = m.solve_with(256);
     assert_eq!(
         exact.points().len(),
         3,
@@ -174,65 +176,66 @@ fn three_intersections_survive_coarse_samples() {
     assert_eq!(exact.points()[1].stability, Stability::Unstable);
     assert!(exact.is_bistable());
 
-    // And the fast path must reproduce them from a tabulated curve.
-    let table = CurveTable::tabulate(&fig9b_f, n, 4096);
-    let (fast, _) = fastpath::solve_fast_curves(&fig9b_f, &fig9b_g, &table, n, z, 256);
-    assert_eq!(fast, exact, "fast path collapsed or moved a root");
-}
-
-/// A supply curve with a fault-injected NaN hole over `k ∈ (10, 20)`.
-fn holed_f(k: f64) -> f64 {
-    let k = k.max(0.0);
-    if k > 10.0 && k < 20.0 {
-        f64::NAN
-    } else {
-        (k / 100.0).min(0.25)
+    // And the fast path must reproduce them from tables of any width.
+    for width in [1.0, 64.0, 1024.0] {
+        let table = CurveTable::build(&m, 60.0 * width);
+        let fast = fastpath::solve_fast(&m, &table, 256);
+        assert_eq!(
+            fast, exact,
+            "fast path collapsed or moved a root (×{width})"
+        );
+    }
+    let m = narrow_peak(2213.78);
+    let exact = m.solve_with(1024);
+    assert!(exact.is_bistable(), "{:?}", exact.points());
+    for width in [1.0, 64.0, 1024.0] {
+        let table = CurveTable::build(&m, 2213.78 * width);
+        let fast = fastpath::solve_fast(&m, &table, 1024);
+        assert_eq!(fast, exact, "narrow peak lost from a ×{width} table");
     }
 }
 
-/// Demand `ĝ(x) = min(x, 8)/40` for the NaN-hole fixture.
-fn holed_g(x: f64) -> f64 {
-    x.clamp(0.0, 8.0) / 40.0
+/// An Eq. (5) model with a NaN hole: `R` is so small that `k/R`
+/// overflows for `k > 0.018`, and while the hit rate still rounds to 1
+/// the loaded latency is `1·L$ + 0·∞ = NaN`. Past `k ≈ 154` the hit
+/// rate drops below 1 and `f` is 0.
+fn holed(n: f64) -> XModel {
+    XModel::with_cache(
+        MachineParams::new(6.0, 1e-310, 100.0),
+        WorkloadParams::new(40.0, 1.0, n),
+        CacheParams::try_new(16384.0, 30.0, 9.0, 1.0).unwrap(),
+    )
 }
 
 #[test]
 fn nan_hole_curve_keeps_reference_parity() {
-    let (n, z) = (48.0, 40.0);
-    let table = CurveTable::tabulate(&holed_f, 64.0, 1024);
-    // The hole's intervals are unsound: infinite margin disables both
-    // the per-sample interpolation and the coarse block screening there.
-    assert!(table.interp(15.0).1.is_infinite(), "hole must be unsound");
-    assert!(
-        table.interp(5.0).1.is_finite(),
-        "healthy region stayed sound"
-    );
-
-    let typed_f = |k: Threads| ReqPerCycle(holed_f(k.get()));
-    let typed_g = |x: Threads| ReqPerCycle(holed_g(x.get()));
-    let exact = solver::solve_with(&typed_f, &typed_g, Threads(n), OpsPerRequest(z), 256);
-    let (fast, _) = fastpath::solve_fast_curves(&holed_f, &holed_g, &table, n, z, 256);
+    let m = holed(200.0);
+    assert!(m.fk(15.0).is_nan(), "hole must be NaN");
+    assert!(m.fk(0.01).is_finite() && m.fk(180.0).is_finite());
+    let table = CurveTable::build_with(&m, 256.0, 1024);
+    let (fast, stats) = fastpath::solve_fast_stats(&m, &table, 256);
+    // The hole's intervals are unsound: they disable the span screens
+    // and send every sample inside to the exact curve.
+    assert!(stats.unsound_disables > 0, "{stats:?}");
+    let exact = m.solve_with(256);
     // The throughputs at the hole's edge are NaN (as in the reference),
     // so `==` would reject matching points: compare bit patterns.
-    assert_eq!(
-        fast.points().len(),
-        exact.points().len(),
-        "root count diverged"
-    );
-    for (a, b) in fast.points().iter().zip(exact.points()) {
-        assert_eq!(a.k.to_bits(), b.k.to_bits(), "k diverged: {a:?} vs {b:?}");
-        assert_eq!(a.x.to_bits(), b.x.to_bits(), "x diverged: {a:?} vs {b:?}");
-        assert_eq!(a.ms_throughput.to_bits(), b.ms_throughput.to_bits());
-        assert_eq!(a.cs_throughput.to_bits(), b.cs_throughput.to_bits());
-        assert_eq!(a.stability, b.stability);
-        assert!(a.k.is_finite(), "non-finite root position leaked through");
-    }
+    assert_bits_eq(&fast, &exact, "holed");
+    assert!(fast.points().iter().all(|p| p.k.is_finite()));
 
     // The degradation ladder's grid-scan rung still has a foothold on
     // the holed curve: closest approach lands in the healthy region.
+    let typed_f = |k: Threads| ReqPerCycle(m.fk(k.get()));
+    let typed_g = |x: Threads| ReqPerCycle(m.g_hat(x.get()));
     let dense = solver::DEFAULT_SAMPLES;
-    let (point, gap) =
-        solver::closest_approach(&typed_f, &typed_g, Threads(n), OpsPerRequest(z), dense)
-            .expect("closest approach must survive the hole");
+    let (point, gap) = solver::closest_approach(
+        &typed_f,
+        &typed_g,
+        Threads(200.0),
+        OpsPerRequest(40.0),
+        dense,
+    )
+    .expect("closest approach must survive the hole");
     assert!(point.k.is_finite() && gap.is_finite());
 }
 
@@ -318,36 +321,35 @@ fn n_sweeps_match_reference_on_table2_presets() {
 fn fig9b_n_sweep_across_root_count_change_matches_reference() {
     // Sweeping `n` over the peak/valley/plateau shape crosses the 1 ↔ 3
     // root-count boundary, where a classification change must not move
-    // a single bit.
-    let z = 50.0;
-    let typed_f = |k: Threads| ReqPerCycle(fig9b_f(k.get()));
-    let typed_g = |x: Threads| ReqPerCycle(fig9b_g(x.get()));
-    let table = CurveTable::tabulate(&fig9b_f, 96.0, 4096);
-    let mut counts = std::collections::BTreeSet::new();
-    for step in 0..120 {
-        let n = 14.0 + 0.5 * step as f64;
-        let (fast, _) = fastpath::solve_fast_curves(&fig9b_f, &fig9b_g, &table, n, z, 512);
-        let exact = solver::solve_with(&typed_f, &typed_g, Threads(n), OpsPerRequest(z), 512);
-        assert_bits_eq(&fast, &exact, &format!("fig9b n = {n}"));
-        counts.insert(exact.points().len());
+    // a single bit — from a table sized to the sweep and from one 1024×
+    // wider.
+    for k_max in [96.0, 96.0 * 1024.0] {
+        let table = CurveTable::build(&fig9b(96.0), k_max);
+        let mut counts = std::collections::BTreeSet::new();
+        for step in 0..120 {
+            let m = fig9b(14.0 + 0.5 * step as f64);
+            let fast = fastpath::solve_fast(&m, &table, 512);
+            let exact = m.solve_with(512);
+            assert_bits_eq(&fast, &exact, &format!("fig9b n = {}", m.workload.n));
+            counts.insert(exact.points().len());
+        }
+        assert!(
+            counts.contains(&1) && counts.contains(&3),
+            "sweep never crossed the 1 <-> 3 boundary: {counts:?}"
+        );
     }
-    assert!(
-        counts.contains(&1) && counts.contains(&3),
-        "sweep never crossed the 1 <-> 3 boundary: {counts:?}"
-    );
 }
 
 #[test]
 fn nan_hole_n_sweep_matches_reference() {
-    let z = 40.0;
-    let typed_f = |k: Threads| ReqPerCycle(holed_f(k.get()));
-    let typed_g = |x: Threads| ReqPerCycle(holed_g(x.get()));
-    let table = CurveTable::tabulate(&holed_f, 64.0, 1024);
-    assert!(table.interp(15.0).1.is_infinite(), "hole must be unsound");
+    let table = CurveTable::build_with(&holed(256.0), 256.0, 1024);
     for step in 0..40 {
-        let n = 24.0 + step as f64;
-        let (fast, _) = fastpath::solve_fast_curves(&holed_f, &holed_g, &table, n, z, 256);
-        let exact = solver::solve_with(&typed_f, &typed_g, Threads(n), OpsPerRequest(z), 256);
-        assert_bits_eq(&fast, &exact, &format!("holed n = {n}"));
+        let m = holed(24.0 + 5.0 * step as f64);
+        let fast = fastpath::solve_fast(&m, &table, 256);
+        assert_bits_eq(
+            &fast,
+            &m.solve_with(256),
+            &format!("holed n = {}", m.workload.n),
+        );
     }
 }

@@ -80,12 +80,13 @@ pub mod metric {
     /// Coarse blocks that survived screening and were refined
     /// sample-by-sample.
     pub const FASTPATH_BLOCKS_REFINED: &str = "fastpath.blocks_refined";
-    /// Dense samples answered from the interpolated table.
+    /// Dense samples and bisection midpoints whose sign the table
+    /// enclosure decided.
     pub const FASTPATH_INTERP_EVALS: &str = "fastpath.interp_evals";
     /// Exact `f(k)` evaluations spent inside fast-path solves.
     pub const FASTPATH_EXACT_EVALS: &str = "fastpath.exact_evals";
     /// Coarse blocks whose screening was disabled by an unsound
-    /// (non-finite-margin) table interval.
+    /// (non-finite) table interval.
     pub const FASTPATH_UNSOUND_DISABLES: &str = "fastpath.unsound_disables";
     /// Eight-lane kernel loop bodies executed by batched evaluation
     /// (tabulation and batched refine).
@@ -194,10 +195,10 @@ pub fn metric_help(name: &str) -> Option<&'static str> {
         metric::FASTPATH_CACHE_STALE => "SolveCache rebuilds forced by a stale table",
         metric::FASTPATH_BLOCKS_SCREENED => "coarse blocks skipped wholesale by range screening",
         metric::FASTPATH_BLOCKS_REFINED => "coarse blocks refined sample-by-sample",
-        metric::FASTPATH_INTERP_EVALS => "dense samples answered from the interpolated table",
+        metric::FASTPATH_INTERP_EVALS => "samples and midpoints signed by the table enclosure",
         metric::FASTPATH_EXACT_EVALS => "exact f(k) evaluations inside fast-path solves",
         metric::FASTPATH_UNSOUND_DISABLES => {
-            "coarse blocks with screening disabled by an unsound margin"
+            "coarse blocks with screening disabled by an unsound interval"
         }
         metric::FASTPATH_BATCH_EVALS => "eight-lane batched kernel loop bodies executed",
         metric::SWEEP_CHUNK_CLAIMS => "chunk claims taken from the sweep cursor",

@@ -50,6 +50,11 @@ echo "=== simulator fast-forward: wide differential set (release) ==="
 # run_until_requests must match a plain loop of Sm::step bit for bit.
 cargo test -q --release -p xmodel-sim --test fast_forward -- --ignored
 
+echo "=== fast-path differential fuzzer: wide set (release) ==="
+# 20 000 seeded cases, tables up to x1024 wider than n and random cache
+# histories: every solve must match the dense reference bit for bit.
+cargo test -q --release -p xmodel-core --test fastpath_fuzz -- --ignored
+
 echo "=== perfbench: harness tests + validate against the committed reference ==="
 # The validate workload checks every op's simulator output bit for bit
 # against perfbench/reference/validate.json, so a simulator change that
@@ -170,6 +175,19 @@ XMODEL_JOBS=3 $xm sweep --gpu fermi --z 16 --l1 16 --n-max 48 --points 128 \
   --out "$sweepn" > /dev/null
 cmp "$sweep1" "$sweepn" \
   || { echo "sweep output depends on XMODEL_JOBS" >&2; exit 1; }
+# Soundness at any table width: row 1 of this 1024-point sweep is solved
+# from a table 1024x wider than its own domain, and its Fig. 9 cache
+# peak (3 roots) is narrower than one table interval. It must equal the
+# same cell swept alone, bit for bit.
+narrow=(--m 0.69323 --r 0.0021897 --l 115.106 --z 1.19860 --e 3.31964
+  --l1 1372.2890625 --l1-latency 3.92558 --alpha 6.09530 --beta 99625.7 --samples 1024)
+$xm sweep "${narrow[@]}" --n-max 2266910.72 --points 1024 --out "$sweep1" > /dev/null
+$xm sweep "${narrow[@]}" --n-max 2213.78 --points 1 --out "$sweepn" > /dev/null
+first_row() { awk '/"n": /{sub(/,$/, ""); print; exit}' "$1"; }
+cmp <(first_row "$sweep1") <(first_row "$sweepn") \
+  || { echo "sweep row 1 depends on --n-max (wide-table fast path)" >&2; exit 1; }
+first_row "$sweepn" | grep -q '"n": 2213.78, "roots": 3,' \
+  || { echo "sweep lost the narrow cache peak: $(first_row "$sweepn")" >&2; exit 1; }
 # Jobs 1 -> N wall-clock scaling is hardware-dependent: a single-core
 # runner cannot demonstrate it, and shared CI boxes make it noisy, so
 # the probe is warn-only (EXPERIMENTS.md records the committed numbers).
