@@ -46,7 +46,7 @@ fn run_recorded(w: &Workload, traces: &concrete::RecordedTraces, warps: u32) -> 
     (sm.stats().ms_throughput(), sm.stats().hit_rate())
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     println!("Synthetic trace generators vs recorded algorithm traces\n");
     let warps = 32;
 
@@ -101,7 +101,7 @@ fn main() {
             "app", "syn_ms", "rec_ms", "gap", "syn_hit", "rec_hit", "len",
         ],
         &rows,
-    );
+    )?;
     println!("\nWhere hit rates diverge, the synthetic generator's locality knob");
     println!("(skew / vector_prob / ws_lines) is what needs recalibration — the");
     println!("rest of the pipeline is unchanged between the two runs.");
@@ -140,4 +140,5 @@ fn main() {
         gap(ms_def) * 100.0,
         gap(ms_cal) * 100.0
     );
+    Ok(())
 }

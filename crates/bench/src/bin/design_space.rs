@@ -10,7 +10,7 @@ use xmodel::prelude::*;
 use xmodel::viz::heatmap::Heatmap;
 use xmodel_bench::{cell, save_svg};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let machine = MachineParams::new(6.0, 0.02, 600.0);
     let cache = CacheParams::try_new(16.0 * 1024.0, 30.0, 5.0, 2048.0).unwrap();
 
@@ -93,13 +93,14 @@ fn main() {
         },
     );
 
-    let p1 = save_svg("design_space_ms", &ms_map.to_svg(640.0, 420.0));
-    let p2 = save_svg("design_space_cs", &cs_map.to_svg(640.0, 420.0));
-    let p3 = save_svg("design_space_time", &time_map.to_svg(640.0, 420.0));
+    let p1 = save_svg("design_space_ms", &ms_map.to_svg(640.0, 420.0))?;
+    let p2 = save_svg("design_space_cs", &cs_map.to_svg(640.0, 420.0))?;
+    let p3 = save_svg("design_space_time", &time_map.to_svg(640.0, 420.0))?;
     println!(
         "\nwrote {}\nwrote {}\nwrote {}",
         p1.display(),
         p2.display(),
         p3.display()
     );
+    Ok(())
 }

@@ -7,7 +7,7 @@ use xmodel::viz::chart::{Chart, Marker, Series};
 use xmodel::viz::grid::PanelGrid;
 use xmodel_bench::{cell, save_svg, write_csv};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let machine = MachineParams::new(4.0, 0.1, 500.0);
     let model = TransitModel::new(machine, OpsPerRequest(20.0), Threads(48.0)).to_xmodel();
 
@@ -37,14 +37,14 @@ fn main() {
         .with(panel_a)
         .with(panel_b)
         .to_svg();
-    let path = save_svg("fig02_transit_curves", &svg);
+    let path = save_svg("fig02_transit_curves", &svg)?;
 
     let rows: Vec<Vec<String>> = fk
         .iter()
         .zip(&ghat)
         .map(|(&(k, f), &(x, g))| vec![cell(k, 1), cell(f, 5), cell(x, 1), cell(g, 5)])
         .collect();
-    write_csv("fig02_transit_curves", &["k", "f_k", "x", "ghat_x"], &rows);
+    write_csv("fig02_transit_curves", &["k", "f_k", "x", "ghat_x"], &rows)?;
 
     println!(
         "Fig. 2 regenerated: delta = {} threads, pi = {} threads",
@@ -57,4 +57,5 @@ fn main() {
         machine.m / 20.0
     );
     println!("wrote {}", path.display());
+    Ok(())
 }

@@ -16,7 +16,7 @@ fn base_model() -> XModel {
 
 type Panel = (&'static str, fn(f64) -> TuningOp, [f64; 3], bool);
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let base = base_model();
     let panels: Vec<Panel> = vec![
         (
@@ -104,12 +104,12 @@ fn main() {
         }
         grid = grid.with(chart);
     }
-    let path = save_svg("fig04_tuning_ops", &grid.to_svg());
+    let path = save_svg("fig04_tuning_ops", &grid.to_svg())?;
     write_csv(
         "fig04_tuning_ops",
         &["knob", "value", "ms", "cs", "k"],
         &rows,
-    );
+    )?;
     println!("Fig. 4 regenerated: {} knob settings evaluated", rows.len());
     for r in &rows {
         println!(
@@ -118,4 +118,5 @@ fn main() {
         );
     }
     println!("wrote {}", path.display());
+    Ok(())
 }

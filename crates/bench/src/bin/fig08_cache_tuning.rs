@@ -8,7 +8,7 @@ use xmodel::viz::chart::{Chart, Series};
 use xmodel::viz::grid::PanelGrid;
 use xmodel_bench::{cell, save_svg, write_csv};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let machine = MachineParams::new(6.0, 0.1, 600.0);
     let base = CacheParams::try_new(16.0 * 1024.0, 30.0, 5.0, 2048.0).unwrap();
     let sample = |cache: CacheParams| -> Vec<(f64, f64)> {
@@ -74,12 +74,13 @@ fn main() {
         .with(panel_a)
         .with(panel_b)
         .with(panel_c);
-    let path = save_svg("fig08_cache_tuning", &grid.to_svg());
+    let path = save_svg("fig08_cache_tuning", &grid.to_svg())?;
     xmodel_bench::print_table(&["panel", "curve", "ψ", "peak f", "valley f"], &rows);
     write_csv(
         "fig08_cache_tuning",
         &["panel", "curve", "psi", "peak", "valley"],
         &rows,
-    );
+    )?;
     println!("\nwrote {}", path.display());
+    Ok(())
 }

@@ -17,7 +17,7 @@ fn cache() -> CacheParams {
     CacheParams::try_new(16.0 * 1024.0, 30.0, 5.0, 2048.0).unwrap()
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     // (A) stable: demand low enough to cross f only on its rising edge.
     let stable = XModel::with_cache(machine(), WorkloadParams::new(200.0, 0.25, 40.0), cache());
     // (B) unstable: the bistable configuration.
@@ -76,11 +76,12 @@ fn main() {
         "fig09_degradation",
         &["n", "best", "worst", "drop", "bistable"],
         &sweep_rows,
-    );
+    )?;
 
     let grid = PanelGrid::new("Fig. 9 — intersections with cache effects", 2)
         .with(render::xgraph_chart(&XGraph::build(&stable, 512), None))
         .with(render::xgraph_chart(&XGraph::build(&bistable, 512), None));
-    let path = save_svg("fig09_intersections", &grid.to_svg());
+    let path = save_svg("fig09_intersections", &grid.to_svg())?;
     println!("wrote {}", path.display());
+    Ok(())
 }

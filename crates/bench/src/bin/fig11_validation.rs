@@ -11,7 +11,7 @@ use xmodel::viz::chart::Series;
 use xmodel::viz::grid::PanelGrid;
 use xmodel_bench::{cell, print_table, save_svg, write_csv};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let gpu = GpuSpec::kepler_k40();
     println!("Fig. 11 — validation on {} \n", gpu.name);
 
@@ -66,9 +66,10 @@ fn main() {
         "fig11_validation",
         &["app", "n", "pct", "rct", "pms", "mms", "pk", "mk", "acc"],
         &rows,
-    );
-    let jpath = xmodel_bench::write_json("fig11_validation", &report);
-    let path = save_svg("fig11_validation", &grid.to_svg());
+    )?;
+    let jpath = xmodel_bench::write_json("fig11_validation", &report)?;
+    let path = save_svg("fig11_validation", &grid.to_svg())?;
     println!("wrote {}", jpath.display());
     println!("wrote {}", path.display());
+    Ok(())
 }

@@ -10,7 +10,7 @@ use xmodel::viz::chart::Series;
 use xmodel_bench::case_study;
 use xmodel_bench::{cell, save_svg, write_csv};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let model = case_study::model(16);
     let units = case_study::gpu().units(Precision::Single);
     let op = model.solve().operating_point().expect("operating point");
@@ -55,7 +55,7 @@ fn main() {
         "fig12_trace_points",
         &["cached_warps", "req_per_cycle", "gbs"],
         &rows,
-    );
+    )?;
 
     let graph = XGraph::build(&model, 512);
     let mut chart = render::xgraph_chart(&graph, Some(&units));
@@ -67,6 +67,7 @@ fn main() {
             .collect(),
         3,
     ));
-    let path = save_svg("fig12_gesummv_16k", &chart.to_svg(640.0, 400.0));
+    let path = save_svg("fig12_gesummv_16k", &chart.to_svg(640.0, 400.0))?;
     println!("\nwrote {}", path.display());
+    Ok(())
 }

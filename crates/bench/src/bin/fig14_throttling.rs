@@ -9,7 +9,7 @@ use xmodel::viz::grid::PanelGrid;
 use xmodel_bench::case_study;
 use xmodel_bench::{cell, print_table, save_svg, write_csv};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let model = case_study::model(16);
     let what_if = WhatIf::new(model);
     let units = case_study::gpu().units(Precision::Single);
@@ -48,7 +48,7 @@ fn main() {
         "fig14_throttling",
         &["n", "model_gbs", "model_speedup", "sim_gbs"],
         &rows,
-    );
+    )?;
 
     let before = XGraph::build(&model, 512);
     let after = XGraph::build(
@@ -58,6 +58,7 @@ fn main() {
     let grid = PanelGrid::new("Fig. 14 — thread throttling", 2)
         .with(render::xgraph_chart(&before, Some(&units)))
         .with(render::xgraph_chart(&after, Some(&units)));
-    let path = save_svg("fig14_throttling", &grid.to_svg());
+    let path = save_svg("fig14_throttling", &grid.to_svg())?;
     println!("wrote {}", path.display());
+    Ok(())
 }

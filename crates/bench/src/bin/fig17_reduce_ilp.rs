@@ -10,7 +10,7 @@ use xmodel::viz::grid::PanelGrid;
 use xmodel_bench::case_study;
 use xmodel_bench::{cell, print_table, save_svg, write_csv};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     // Figs. 14-17 in the paper are schematic X-graphs: the mechanism is
     // visible when the demand slope E/Z is comparable to the descending
     // f slope. We use the same thrashing configuration the §VI analysis
@@ -54,7 +54,7 @@ fn main() {
         "fig17_reduce_ilp",
         &["e", "ms_gbs", "ms_speedup", "cs_speedup"],
         &rows,
-    );
+    )?;
 
     let before = XGraph::build(&model, 512);
     let after = XGraph::build(
@@ -67,6 +67,7 @@ fn main() {
     let grid = PanelGrid::new("Fig. 17 — reducing E", 2)
         .with(render::xgraph_chart(&before, Some(&units)))
         .with(render::xgraph_chart(&after, Some(&units)));
-    let path = save_svg("fig17_reduce_ilp", &grid.to_svg());
+    let path = save_svg("fig17_reduce_ilp", &grid.to_svg())?;
     println!("wrote {}", path.display());
+    Ok(())
 }

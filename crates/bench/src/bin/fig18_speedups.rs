@@ -31,7 +31,7 @@ fn best_bypass(l1_kib: u64) -> (u32, f64) {
     best
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     println!("Fig. 18 — gesummv optimization results on the simulated GTX570\n");
     let units = case_study::gpu().units(Precision::Single);
 
@@ -68,7 +68,7 @@ fn main() {
         "fig18_speedups",
         &["config", "gbs", "speedup", "paper"],
         &rows,
-    );
+    )?;
 
     println!("\nShape check: larger cache alone is modest; throttling and");
     println!("bypassing both help, more so with 48 KiB; disabling L1 is a wash.");
@@ -91,6 +91,7 @@ fn main() {
         "normalized speedup",
     )
     .with(bars);
-    let path = save_svg("fig18_speedups", &chart.to_svg(640.0, 360.0));
+    let path = save_svg("fig18_speedups", &chart.to_svg(640.0, 360.0))?;
     println!("wrote {}", path.display());
+    Ok(())
 }

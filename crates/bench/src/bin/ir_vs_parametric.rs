@@ -9,7 +9,7 @@ use xmodel::prelude::*;
 use xmodel::sim::exec::simulate_ir;
 use xmodel_bench::{cell, print_table, write_csv};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let gpu = GpuSpec::kepler_k40();
     println!(
         "IR-driven vs parametric simulation, {} (no L1, per-SM share)\n",
@@ -77,5 +77,6 @@ fn main() {
         "ir_vs_parametric",
         &["app", "n", "par_cs", "ir_cs", "gap", "bar", "smem"],
         &rows,
-    );
+    )?;
+    Ok(())
 }

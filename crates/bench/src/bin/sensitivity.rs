@@ -11,7 +11,7 @@ use xmodel::prelude::*;
 use xmodel::profile::fitting::assemble_model;
 use xmodel_bench::{cell, print_table, write_csv, write_json};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let gpu = GpuSpec::kepler_k40();
     println!(
         "MS-throughput elasticities on {} (1% of knob -> x% of throughput)\n",
@@ -45,8 +45,8 @@ fn main() {
         "sensitivity",
         &["app", "R", "L", "M", "Z", "E", "n", "dominant"],
         &rows,
-    );
-    write_json("sensitivity", &reports);
+    )?;
+    write_json("sensitivity", &reports)?;
 
     println!("\nReading the table:");
     println!("- R ~ 1, others ~ 0: saturated on bandwidth (most of the suite);");
@@ -69,4 +69,5 @@ fn main() {
     print_table(&["knob", "MS elasticity", "CS elasticity"], &rows);
     println!("\nNegative n elasticity = thread throttling helps; positive S$/alpha");
     println!("= capacity and locality fixes help — the §VI menu, derived, ranked.");
+    Ok(())
 }

@@ -21,37 +21,37 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// Experiment output directory (`target/experiments`), created on demand.
-pub fn out_dir() -> PathBuf {
+pub fn out_dir() -> std::io::Result<PathBuf> {
     let dir = PathBuf::from("target/experiments");
-    std::fs::create_dir_all(dir.join("figs")).expect("create output dirs");
-    dir
+    std::fs::create_dir_all(dir.join("figs"))?;
+    Ok(dir)
 }
 
 /// Write a CSV file under the experiment directory.
-pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> PathBuf {
+pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> std::io::Result<PathBuf> {
     let mut text = String::new();
     let _ = writeln!(text, "{}", header.join(","));
     for row in rows {
         let _ = writeln!(text, "{}", row.join(","));
     }
-    let path = out_dir().join(format!("{name}.csv"));
-    std::fs::write(&path, text).expect("write csv");
-    path
+    let path = out_dir()?.join(format!("{name}.csv"));
+    std::fs::write(&path, text)?;
+    Ok(path)
 }
 
 /// Write an SVG figure under `target/experiments/figs`.
-pub fn save_svg(name: &str, svg: &str) -> PathBuf {
-    let path = out_dir().join("figs").join(format!("{name}.svg"));
-    std::fs::write(&path, svg).expect("write svg");
-    path
+pub fn save_svg(name: &str, svg: &str) -> std::io::Result<PathBuf> {
+    let path = out_dir()?.join("figs").join(format!("{name}.svg"));
+    std::fs::write(&path, svg)?;
+    Ok(path)
 }
 
 /// Write a JSON report under the experiment directory.
-pub fn write_json<T: serde::Serialize>(name: &str, value: &T) -> PathBuf {
-    let text = json::to_json(value).expect("serialize report");
-    let path = out_dir().join(format!("{name}.json"));
-    std::fs::write(&path, text).expect("write json");
-    path
+pub fn write_json<T: serde::Serialize>(name: &str, value: &T) -> std::io::Result<PathBuf> {
+    let text = json::to_json(value).map_err(std::io::Error::other)?;
+    let path = out_dir()?.join(format!("{name}.json"));
+    std::fs::write(&path, text)?;
+    Ok(path)
 }
 
 /// Print an aligned table to stdout.
@@ -93,14 +93,15 @@ mod tests {
             "selftest",
             &["a", "b"],
             &[vec!["1".into(), "2".into()], vec!["3".into(), "4".into()]],
-        );
+        )
+        .expect("write csv");
         let text = std::fs::read_to_string(p).unwrap();
         assert_eq!(text, "a,b\n1,2\n3,4\n");
     }
 
     #[test]
     fn svg_saved() {
-        let p = save_svg("selftest", "<svg/>");
+        let p = save_svg("selftest", "<svg/>").expect("write svg");
         assert!(p.exists());
     }
 

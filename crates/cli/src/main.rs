@@ -1081,6 +1081,7 @@ fn cmd_whatif(flags: HashMap<String, String>) -> Result<(), CliError> {
     let l1 = get_f64(&flags, "l1")?.unwrap_or(16.0) as u64;
     let model = xmodel::profile::fitting::assemble_model(&gpu, &w, l1 * 1024);
     let what_if = WhatIf::new(model);
+    let baseline = what_if.baseline(XModel::solve);
     let mut out = String::new();
     outln!(
         out,
@@ -1088,46 +1089,18 @@ fn cmd_whatif(flags: HashMap<String, String>) -> Result<(), CliError> {
         w.name,
         gpu.name,
         l1,
-        what_if.is_thrashing()
+        baseline.is_thrashing()
     );
-    let n_star = what_if.optimal_throttle();
-    let mut candidates = vec![
-        (
-            "bypass (R x3)".to_string(),
-            Optimization::CacheBypass {
-                r: model.machine.r * 3.0,
-            },
-        ),
-        (
-            "intensity (Z x2)".to_string(),
-            Optimization::IncreaseIntensity {
-                z: model.workload.z * 2.0,
-            },
-        ),
-        (
-            "reduce ILP (E /2)".to_string(),
-            Optimization::ReduceIlp {
-                e: model.workload.e * 0.5,
-            },
-        ),
-        (
-            "enlarge cache (x3)".to_string(),
-            Optimization::EnlargeCache {
-                s_cache: l1 as f64 * 1024.0 * 3.0,
-            },
-        ),
-    ];
-    if let Some(n) = n_star {
-        candidates.insert(
-            0,
-            (
-                format!("throttle (n={n:.1})"),
-                Optimization::ThreadThrottle { n },
-            ),
-        );
-    }
-    for (name, opt) in candidates {
-        match what_if.evaluate(opt) {
+    for (_, opt) in what_if.candidates() {
+        let name = match opt {
+            Optimization::ThreadThrottle { n } => format!("throttle (n={n:.1})"),
+            Optimization::CacheBypass { .. } => "bypass (R x3)".to_string(),
+            Optimization::IncreaseIntensity { .. } => "intensity (Z x2)".to_string(),
+            Optimization::ReduceIlp { .. } => "reduce ILP (E /2)".to_string(),
+            Optimization::EnlargeCache { .. } => "enlarge cache (x3)".to_string(),
+            Optimization::DisableCache => "disable cache".to_string(),
+        };
+        match baseline.evaluate(opt, XModel::solve) {
             Some(eff) => outln!(
                 out,
                 "  {:<20} MS {:>5.2}x  CS {:>5.2}x",

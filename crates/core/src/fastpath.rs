@@ -772,6 +772,11 @@ impl SolveCache {
             while k_max < n {
                 k_max *= 2.0;
             }
+            if !k_max.is_finite() {
+                // No finite domain covers `n` (above 2^1023): answer
+                // with the dense reference instead of tabulating.
+                return (model.solve_with(samples), SolveStats::default());
+            }
             let resolution = if self.resolution == 0 {
                 DEFAULT_RESOLUTION
             } else {

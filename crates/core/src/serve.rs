@@ -44,7 +44,7 @@ use crate::params::{MachineParams, WorkloadParams};
 use crate::presets::{GpuSpec, Precision};
 use crate::solver::DEFAULT_SAMPLES;
 use crate::stability::Stability;
-use crate::whatif::{Optimization, WhatIf};
+use crate::whatif::WhatIf;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::Read;
@@ -984,48 +984,30 @@ fn handle_whatif(
     accepted: Instant,
 ) -> Result<Response, ServeError> {
     let parsed = parse_request(shared, request, accepted)?;
-    let model = parsed.model;
-    let what_if = WhatIf::new(model);
+    let what_if = WhatIf::new(parsed.model);
     parsed.deadline.check()?;
 
-    let mut candidates: Vec<(&'static str, Optimization)> = Vec::new();
-    if let Some(n) = what_if.optimal_throttle() {
-        candidates.push(("throttle", Optimization::ThreadThrottle { n }));
-    }
-    candidates.push((
-        "bypass",
-        Optimization::CacheBypass {
-            r: model.machine.r * 3.0,
-        },
-    ));
-    candidates.push((
-        "intensity",
-        Optimization::IncreaseIntensity {
-            z: model.workload.z * 2.0,
-        },
-    ));
-    candidates.push((
-        "reduce-ilp",
-        Optimization::ReduceIlp {
-            e: model.workload.e * 0.5,
-        },
-    ));
-    if let Some(cache) = model.cache {
-        candidates.push((
-            "enlarge-cache",
-            Optimization::EnlargeCache {
-                s_cache: cache.s_cache * 3.0,
-            },
-        ));
-    }
+    // The baseline, throttle, intensity and reduce-ILP models share the
+    // request's supply curve, so the table cache answers them. Bypass
+    // and enlarge-cache derive a new curve: its table would cost more
+    // evaluations than one dense solve and evict a `/solve` curve.
+    let curve = CurveKey::of(&parsed.model);
+    let solve = |m: &XModel| {
+        if CurveKey::of(m) == curve {
+            shared.cache.solve_with(m, DEFAULT_SAMPLES)
+        } else {
+            m.solve()
+        }
+    };
+    let baseline = what_if.baseline(solve);
 
     let mut out = String::new();
-    for (name, opt) in candidates {
+    for (name, opt) in what_if.candidates() {
         parsed.deadline.check()?;
         if !out.is_empty() {
             out.push(',');
         }
-        match what_if.evaluate(opt) {
+        match baseline.evaluate(opt, solve) {
             Some(effect) => out.push_str(&format!(
                 "{{\"name\":{},\"ms_speedup\":{},\"cs_speedup\":{}}}",
                 jstr(name),
@@ -1041,7 +1023,7 @@ fn handle_whatif(
     let body = format!(
         "{{\"schema\":{},\"kind\":\"whatif\",\"thrashing\":{},\"candidates\":[{}]}}\n",
         jstr(SERVE_SCHEMA),
-        what_if.is_thrashing(),
+        baseline.is_thrashing(),
         out,
     );
     Ok(Response::ok(JSON_TEXT, body))
@@ -1334,6 +1316,192 @@ mod tests {
         cache.solve_with(&curves[0], 512);
         assert_eq!(cache.cache_misses(), SHARD_LRU_CAPACITY as u64 + 2);
         assert_eq!(cache.cache_evictions(), 2);
+    }
+
+    /// A `/whatif` body with explicit parameters (the §VI thrashing
+    /// fixture at `n` threads, roofline without `l1_kib`) and the model
+    /// the daemon parses from it.
+    fn whatif_case(n: f64, l1_kib: Option<f64>) -> (String, XModel) {
+        let machine = MachineParams::try_new(6.0, 0.02, 600.0).expect("machine");
+        let workload = WorkloadParams::try_new(40.0, 2.0, n).expect("workload");
+        let mut body = format!("{{\"m\":6,\"r\":0.02,\"l\":600,\"z\":40,\"e\":2,\"n\":{n}");
+        let model = match l1_kib {
+            Some(kib) => {
+                body.push_str(&format!(
+                    ",\"l1_kib\":{kib},\"l1_latency\":30,\"alpha\":5,\"beta\":2048"
+                ));
+                let cache = CacheParams::try_new(kib * 1024.0, 30.0, 5.0, 2048.0).expect("cache");
+                XModel::with_cache(machine, workload, cache)
+            }
+            None => XModel::new(machine, workload),
+        };
+        body.push('}');
+        (body, model)
+    }
+
+    /// POST `/whatif` and check the answer against in-process
+    /// [`WhatIf`] bit for bit (a non-finite speedup is JSON `null`).
+    fn assert_whatif_parity(addr: SocketAddr, body: &str, model: &XModel) {
+        use xmodel_obs::json::JsonValue;
+        let (status, _, text) = post(addr, "/whatif", body);
+        assert_eq!(status, 200, "whatif failed: {text}");
+        let json = xmodel_obs::json::parse(&text).expect("json body");
+        let what_if = WhatIf::new(*model);
+        assert_eq!(
+            json.get("thrashing"),
+            Some(&JsonValue::Bool(what_if.is_thrashing())),
+            "{text}"
+        );
+        let Some(JsonValue::Array(got)) = json.get("candidates") else {
+            panic!("no candidates: {text}");
+        };
+        let want = what_if.candidates();
+        assert_eq!(got.len(), want.len(), "{text}");
+        let bits =
+            |j: &JsonValue, key: &str| j.get(key).and_then(JsonValue::as_f64).map(f64::to_bits);
+        for (g, (name, opt)) in got.iter().zip(&want) {
+            let effect = what_if.evaluate(*opt);
+            assert_eq!(g.get("name").and_then(JsonValue::as_str), Some(*name));
+            assert_eq!(
+                bits(g, "ms_speedup"),
+                effect
+                    .map(|e| e.ms_speedup())
+                    .filter(|v| v.is_finite())
+                    .map(f64::to_bits),
+                "{name}"
+            );
+            assert_eq!(
+                bits(g, "cs_speedup"),
+                effect
+                    .map(|e| e.cs_speedup())
+                    .filter(|v| v.is_finite())
+                    .map(f64::to_bits),
+                "{name}"
+            );
+        }
+    }
+
+    /// Whether `key`'s curve holds an LRU entry in any shard.
+    fn resident(cache: &ShardedSolveCache, key: &CurveKey) -> bool {
+        cache.shards.iter().any(|shard| {
+            shard
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .iter()
+                .any(|(k, _)| k == key)
+        })
+    }
+
+    #[test]
+    fn whatif_matches_in_process_whatif_across_cache_histories() {
+        // One shard, so every curve competes for the same LRU slots.
+        let server = Server::start(ServeConfig {
+            cache_shards: 1,
+            ..test_config()
+        })
+        .expect("start");
+        let addr = server.addr();
+        let cache = &server.shared.cache;
+
+        // A `/solve` at large n first: the cached table spans k ≤ 4096,
+        // far wider than the what-if operating point.
+        let (wide, _) = whatif_case(4000.0, Some(16.0));
+        let (status, _, text) = post(addr, "/solve", &wide);
+        assert_eq!(status, 200, "solve failed: {text}");
+        let (thrashing, model) = whatif_case(20.0, Some(16.0));
+        assert_whatif_parity(addr, &thrashing, &model);
+        let (roofline, model) = whatif_case(20.0, None);
+        assert_whatif_parity(addr, &roofline, &model);
+
+        // The baseline builds a table over k ≤ 64; the throttle target
+        // n* lies beyond it, so the cached entry grows its domain.
+        let (grows, model) = whatif_case(20.0, Some(512.0));
+        let n_star = WhatIf::new(model).optimal_throttle().expect("cache peak");
+        assert!(n_star > 64.0, "n* = {n_star} must leave the first table");
+        let rebuilds = cache.rebuilds();
+        assert_whatif_parity(addr, &grows, &model);
+        assert_eq!(cache.rebuilds(), rebuilds + 2, "cold build, then growth");
+
+        // Evict the thrashing curve with a full shard of other curves,
+        // then ask again: a cold entry answers identically.
+        for i in 0..SHARD_LRU_CAPACITY {
+            let body = format!(
+                "{{\"m\":6,\"r\":0.1,\"l\":{},\"z\":20,\"n\":48}}",
+                500 + 10 * i
+            );
+            let (status, _, text) = post(addr, "/solve", &body);
+            assert_eq!(status, 200, "solve failed: {text}");
+        }
+        let (_, model) = whatif_case(20.0, Some(16.0));
+        assert!(
+            !resident(cache, &CurveKey::of(&model)),
+            "curve must be evicted"
+        );
+        let misses = cache.cache_misses();
+        assert_whatif_parity(addr, &thrashing, &model);
+        assert_eq!(cache.cache_misses(), misses + 1);
+
+        // No finite table covers n = 1e308: the cache answers dense,
+        // and the worker survives to answer the next request.
+        let (huge, model) = whatif_case(1e308, Some(16.0));
+        assert_whatif_parity(addr, &huge, &model);
+        assert_whatif_parity(addr, &huge, &model);
+
+        server.drain();
+        assert!(server.wait().clean_drain);
+    }
+
+    #[test]
+    fn whatif_caches_only_its_own_curve() {
+        let server = Server::start(ServeConfig {
+            cache_shards: 1,
+            ..test_config()
+        })
+        .expect("start");
+        let addr = server.addr();
+        let cache = &server.shared.cache;
+        let (body, model) = whatif_case(20.0, Some(16.0));
+        let what_if = WhatIf::new(model);
+        let candidates = what_if.candidates();
+        // Solves per request: the baseline plus one per candidate.
+        let solves = 1 + candidates.len() as u64;
+
+        // Cold: one new LRU entry, the request's own curve. The
+        // baseline, throttle, intensity and reduce-ILP solves go through
+        // it; bypass and enlarge-cache are solved dense.
+        let (status, _, text) = post(addr, "/whatif", &body);
+        assert_eq!(status, 200, "whatif failed: {text}");
+        assert_eq!(cache.cache_misses(), 1);
+        let cached = cache.cache_hits() + cache.cache_misses();
+        assert_eq!(cached, 4);
+        assert!(solves - cached <= 2, "{} dense solves", solves - cached);
+        assert!(resident(cache, &CurveKey::of(&model)));
+        for (name, opt) in &candidates {
+            let derived = CurveKey::of(&opt.apply(&model));
+            if derived != CurveKey::of(&model) {
+                assert!(!resident(cache, &derived), "{name} curve cached");
+            }
+        }
+
+        // Warm, in a full shard: no miss and no eviction.
+        for i in 1..SHARD_LRU_CAPACITY {
+            let other = format!(
+                "{{\"m\":6,\"r\":0.1,\"l\":{},\"z\":20,\"n\":48}}",
+                500 + 10 * i
+            );
+            let (status, _, text) = post(addr, "/solve", &other);
+            assert_eq!(status, 200, "solve failed: {text}");
+        }
+        let (misses, hits) = (cache.cache_misses(), cache.cache_hits());
+        assert_eq!(cache.cache_evictions(), 0);
+        let (status, _, text) = post(addr, "/whatif", &body);
+        assert_eq!(status, 200, "whatif failed: {text}");
+        assert_eq!(cache.cache_misses(), misses);
+        assert_eq!(cache.cache_hits(), hits + 4);
+        assert_eq!(cache.cache_evictions(), 0);
+
+        server.drain();
+        assert!(server.wait().clean_drain);
     }
 
     #[test]

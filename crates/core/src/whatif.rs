@@ -17,6 +17,7 @@
 //! L1-disable reference configuration of Fig. 18.
 
 use crate::model::XModel;
+use crate::solver::{Equilibria, Intersection};
 use crate::sweep;
 use crate::tuning::TuningEffect;
 use serde::{Deserialize, Serialize};
@@ -127,18 +128,21 @@ impl WhatIf {
         }
     }
 
+    /// Solve the baseline operating point once with `solve`, for any
+    /// number of [`Baseline::evaluate_seq`] calls and the thrashing test.
+    /// `solve` must answer like [`XModel::solve`] (the daemon passes its
+    /// bit-identical table cache).
+    pub fn baseline(&self, solve: impl FnOnce(&XModel) -> Equilibria) -> Baseline<'_> {
+        Baseline {
+            what_if: self,
+            point: solve(&self.model).operating_point(),
+        }
+    }
+
     /// `true` when the current operating point sits on the descending
     /// slope of `f(k)` — the cache-thrashing condition of Fig. 12.
     pub fn is_thrashing(&self) -> bool {
-        match self.model.solve().operating_point() {
-            Some(p) => {
-                let h = (self.model.workload.n * 1e-6).max(1e-9);
-                let df = (self.model.fk(p.k + h) - self.model.fk((p.k - h).max(0.0)))
-                    / (p.k + h - (p.k - h).max(0.0));
-                df < -1e-12
-            }
-            None => false,
-        }
+        self.baseline(XModel::solve).is_thrashing()
     }
 
     /// Evaluate one optimization: operating points before and after.
@@ -150,18 +154,48 @@ impl WhatIf {
     /// Fig. 18 configurations combine cache size with throttling or
     /// bypassing).
     pub fn evaluate_seq(&self, opts: &[Optimization]) -> Option<TuningEffect> {
-        let before = self.model.solve().operating_point()?;
-        let mut model = self.model;
-        for opt in opts {
-            model = opt.apply(&model);
+        self.baseline(XModel::solve)
+            .evaluate_seq(opts, XModel::solve)
+    }
+
+    /// The standard §VI candidate set, as `(name, optimization)` in
+    /// report order: throttling to [`WhatIf::optimal_throttle`] (when
+    /// the MS curve has a cache peak), bypassing (`R ×3`), intensity
+    /// (`Z ×2`), reduced ILP (`E /2`) and, for cached models, a cache
+    /// three times larger.
+    pub fn candidates(&self) -> Vec<(&'static str, Optimization)> {
+        let model = &self.model;
+        let mut out = Vec::with_capacity(5);
+        if let Some(n) = self.optimal_throttle() {
+            out.push(("throttle", Optimization::ThreadThrottle { n }));
         }
-        let after = model.solve().operating_point()?;
-        Some(TuningEffect {
-            ms_before: before.ms_throughput,
-            ms_after: after.ms_throughput,
-            cs_before: before.cs_throughput,
-            cs_after: after.cs_throughput,
-        })
+        out.push((
+            "bypass",
+            Optimization::CacheBypass {
+                r: model.machine.r * 3.0,
+            },
+        ));
+        out.push((
+            "intensity",
+            Optimization::IncreaseIntensity {
+                z: model.workload.z * 2.0,
+            },
+        ));
+        out.push((
+            "reduce-ilp",
+            Optimization::ReduceIlp {
+                e: model.workload.e * 0.5,
+            },
+        ));
+        if let Some(cache) = model.cache {
+            out.push((
+                "enlarge-cache",
+                Optimization::EnlargeCache {
+                    s_cache: cache.s_cache * 3.0,
+                },
+            ));
+        }
+        out
     }
 
     /// The optimal throttled thread count: `n* = ψ + x*` with
@@ -210,14 +244,71 @@ impl WhatIf {
         candidates: &[Optimization],
         jobs: usize,
     ) -> Vec<(Optimization, TuningEffect)> {
+        let baseline = self.baseline(XModel::solve);
         let mut out: Vec<(Optimization, TuningEffect)> = sweep::run(jobs, candidates, |_, &opt| {
-            self.evaluate(opt).map(|e| (opt, e))
+            baseline.evaluate(opt, XModel::solve).map(|e| (opt, e))
         })
         .into_iter()
         .flatten()
         .collect();
         out.sort_by(|a, b| b.1.ms_speedup().total_cmp(&a.1.ms_speedup()));
         out
+    }
+}
+
+/// A [`WhatIf`] whose baseline operating point is already solved, so
+/// every candidate costs one solve and the thrashing test costs none.
+#[derive(Debug, Clone, Copy)]
+pub struct Baseline<'a> {
+    what_if: &'a WhatIf,
+    point: Option<Intersection>,
+}
+
+impl Baseline<'_> {
+    /// [`WhatIf::is_thrashing`] at this baseline: the operating point
+    /// sits where `f(k)` descends.
+    pub fn is_thrashing(&self) -> bool {
+        let model = &self.what_if.model;
+        match self.point {
+            Some(p) => {
+                let h = (model.workload.n * 1e-6).max(1e-9);
+                let df = (model.fk(p.k + h) - model.fk((p.k - h).max(0.0)))
+                    / (p.k + h - (p.k - h).max(0.0));
+                df < -1e-12
+            }
+            None => false,
+        }
+    }
+
+    /// [`WhatIf::evaluate`] against this baseline, solving the optimized
+    /// model with `solve`.
+    pub fn evaluate(
+        &self,
+        opt: Optimization,
+        solve: impl FnOnce(&XModel) -> Equilibria,
+    ) -> Option<TuningEffect> {
+        self.evaluate_seq(&[opt], solve)
+    }
+
+    /// [`WhatIf::evaluate_seq`] against this baseline, solving the
+    /// optimized model with `solve`.
+    pub fn evaluate_seq(
+        &self,
+        opts: &[Optimization],
+        solve: impl FnOnce(&XModel) -> Equilibria,
+    ) -> Option<TuningEffect> {
+        let before = self.point?;
+        let mut model = self.what_if.model;
+        for opt in opts {
+            model = opt.apply(&model);
+        }
+        let after = solve(&model).operating_point()?;
+        Some(TuningEffect {
+            ms_before: before.ms_throughput,
+            ms_after: after.ms_throughput,
+            cs_before: before.cs_throughput,
+            cs_after: after.cs_throughput,
+        })
     }
 }
 
@@ -376,6 +467,57 @@ mod tests {
         let w = WhatIf::new(thrashing_model());
         let eff = w.evaluate_seq(&[]).unwrap();
         assert!((eff.ms_speedup() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn baseline_is_solved_once_per_assessment() {
+        // A full assessment — thrashing test plus every candidate —
+        // costs one baseline solve and one solve per candidate, and
+        // matches the one-shot API bit for bit.
+        let w = WhatIf::new(thrashing_model());
+        let solves = std::cell::Cell::new(0usize);
+        let counting = |m: &XModel| {
+            solves.set(solves.get() + 1);
+            m.solve()
+        };
+        let candidates = w.candidates();
+        assert_eq!(candidates.len(), 5, "cached + peak: all five candidates");
+        let baseline = w.baseline(counting);
+        assert_eq!(baseline.is_thrashing(), w.is_thrashing());
+        for (name, opt) in &candidates {
+            let got = baseline.evaluate(*opt, counting);
+            let want = w.evaluate(*opt);
+            assert_eq!(
+                got.map(|e| (e.ms_speedup().to_bits(), e.cs_speedup().to_bits())),
+                want.map(|e| (e.ms_speedup().to_bits(), e.cs_speedup().to_bits())),
+                "{name}"
+            );
+        }
+        assert_eq!(solves.get(), 1 + candidates.len());
+    }
+
+    #[test]
+    fn candidates_follow_the_model() {
+        let w = WhatIf::new(thrashing_model());
+        let names: Vec<&str> = w.candidates().iter().map(|(name, _)| *name).collect();
+        assert_eq!(
+            names,
+            [
+                "throttle",
+                "bypass",
+                "intensity",
+                "reduce-ilp",
+                "enlarge-cache"
+            ]
+        );
+        // Roofline: no cache peak to throttle to, no cache to enlarge.
+        let roofline = WhatIf::new(Optimization::DisableCache.apply(&w.model));
+        let names: Vec<&str> = roofline
+            .candidates()
+            .iter()
+            .map(|(name, _)| *name)
+            .collect();
+        assert_eq!(names, ["bypass", "intensity", "reduce-ilp"]);
     }
 
     #[test]

@@ -353,3 +353,23 @@ fn nan_hole_n_sweep_matches_reference() {
         );
     }
 }
+
+#[test]
+fn solve_cache_matches_reference_at_extreme_n() {
+    // A `SolveCache` domain grows in powers of two up to 2^1023; past
+    // that no finite table covers `n` and the cache must still answer
+    // like the dense reference (a request body can carry any finite n).
+    let machine = MachineParams::try_new(6.0, 0.02, 600.0).expect("machine");
+    let cache = CacheParams::try_new(16.0 * 1024.0, 30.0, 5.0, 2048.0).expect("cache");
+    for n in [1e300, 1e307, 8.9e307, 1e308, f64::MAX] {
+        let workload = WorkloadParams::try_new(40.0, 2.0, n).expect("workload");
+        for model in [
+            XModel::new(machine, workload),
+            XModel::with_cache(machine, workload, cache),
+        ] {
+            let mut solve_cache = fastpath::SolveCache::new();
+            let got = solve_cache.solve(&model);
+            assert_bits_eq(&got, &model.solve(), &format!("n = {n:e}"));
+        }
+    }
+}

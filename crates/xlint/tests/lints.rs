@@ -346,18 +346,16 @@ fn badws_fixture_tree_reports_all_dataflow_lints() {
 fn live_workspace_is_clean_against_committed_baseline() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let analysis = xlint::analyze(&root).expect("workspace walk succeeds");
+    // The workspace carries inline `xlint: allow` directives; a walk
+    // that saw none of them is looking at the wrong root.
     assert!(
-        !analysis.findings.is_empty(),
-        "the walk found no findings at all — wrong root?"
+        !analysis.allowed.is_empty(),
+        "the walk saw no inline allows at all — wrong root?"
     );
     let baseline_text = std::fs::read_to_string(root.join("xlint.baseline"))
         .expect("committed xlint.baseline exists at the workspace root");
     let baseline = Baseline::parse(&baseline_text);
-    let (fresh, suppressed, stale) = baseline.partition_full(&analysis.findings);
-    assert!(
-        !suppressed.is_empty(),
-        "baseline matched nothing — stale format?"
-    );
+    let (fresh, _, stale) = baseline.partition_full(&analysis.findings);
     assert!(
         fresh.is_empty(),
         "new lint findings not in xlint.baseline:\n{}",
